@@ -35,13 +35,14 @@
 // so the iteration feeding the native tail must be float or better. The
 // H = U^H A polish is always native.
 //
-// The bf16 rungs do commit a backward perturbation of order 2^-9 that later
-// native iterations cannot undo (they converge to the polar factor of the
-// perturbed iterate): the adaptive ladder's contract is native
-// *orthogonality* with a backward error at the lowest executed rung's
-// precision — the standard mixed-precision polar trade (see qdwh_mixed for
-// the float-only variant, and polar_refine_ns to buy the backward error
-// back down when required).
+// The low rungs do commit a backward perturbation of their own roundoff
+// (2^-24 float, 2^-9 bf16) that later native iterations cannot undo (they
+// converge to the polar factor of the perturbed iterate): the ladder's
+// contract is native *orthogonality* with a backward error at the lowest
+// executed rung's precision — the standard mixed-precision polar trade.
+// Precision::Float is the float-only variant of that trade; Native (or
+// Double) is the plan whose every rung is native, for full native backward
+// accuracy.
 
 #pragma once
 
@@ -73,7 +74,7 @@ using shadow_t = typename shadow<T>::type;
 
 /// Requested precision behavior for a polar-decomposition run.
 ///   Native   — every iteration in the matrix's own scalar type (the
-///              pre-ladder behavior).
+///              all-native plan).
 ///   Double   — alias of Native for double-kind types; ignored (native) for
 ///              float-kind types, which cannot promote.
 ///   Float    — all iterations on the float rung except the native tail.
@@ -124,8 +125,10 @@ struct PrecisionPolicy {
     int force_fallback_iter = -1;
 };
 
-/// Dynamic QDWH weights and the l-update, in double — the exact recurrence
-/// of detail::qdwh_impl evaluated at planning precision.
+/// Dynamic QDWH weights and the l-update (Algorithm 1 lines 23-27), in
+/// double — the single copy of the recurrence: the shared-memory and
+/// distributed iteration loops, the rung plan and the cost model all call
+/// it.
 struct QdwhWeights {
     double a = 0, b = 0, c = 0;
     double li_next = 0;

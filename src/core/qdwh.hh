@@ -23,6 +23,45 @@
 //
 // All four scalar types are supported; execution is task-dataflow or
 // fork-join depending on the engine's mode (paper's SLATE vs ScaLAPACK).
+//
+// Precision ladder. The iteration is driven by a rung plan
+// (prec::plan_rungs, a pure function of the condition estimate l0) that
+// assigns every iteration to simulated-bf16, float, or the native type;
+// the default Native policy is simply the plan whose every rung is native.
+//
+//   native rung — the iteration body runs on the native buffers.
+//   float rung  — the entering iterate converts into a float shadow
+//                 workspace, the body runs there (every QR/Cholesky flop in
+//                 float, half the memory traffic), and the result converts
+//                 back. The two O(n^2) conversion sweeps are the price for
+//                 O(n^3) iteration flops at the float rate.
+//   bf16 rung   — the float-rung body under an active bf16 gemm mode:
+//                 pack-time truncation of every gemm operand to bf16 with
+//                 fp32 accumulation (see blas/kernel/gemm.hh), optionally
+//                 compensated.
+//
+// The l recurrence runs in double (prec::qdwh_weights — the same pure
+// function the plan and the cost model use), so the executed schedule is
+// deterministic at fixed inputs and identical across execution targets and
+// process grids. Shadow workspaces are allocated on first low-rung use, so
+// an all-native run allocates only the native workspaces.
+//
+// Fallback: a low-precision Cholesky iteration whose operand loses
+// numerical positive definiteness throws from potrf; the error surfaces at
+// the convergence-norm sync, the engine quiesces, and the iteration re-runs
+// one rung up from the *intact* native iterate (bodies only write the
+// shadow and `oth` buffers). A native-rung failure is terminal. Promotions
+// are recorded in info.fallbacks, and a fallback that discarded partially
+// executed work clears info.kernel_flops_exact (the cost model cannot
+// replay a poisoned half-iteration's charges).
+//
+// Accuracy: the final planned iterations and every conv-driven straggler
+// run native (policy tail_native >= 1 by default), and one native Halley
+// step cubes the float-level error (1e-7^3 << eps64), so the loop exits at
+// native orthogonality; H = U^H A is computed natively from the original A.
+// A low rung's backward perturbation is not undone (the iterate converges
+// to the polar factor of the perturbed matrix), so the backward error sits
+// at the lowest executed rung's precision.
 
 #pragma once
 
@@ -39,6 +78,7 @@
 #include "cond/condest.hh"
 #include "cond/norm2est.hh"
 #include "core/precision_policy.hh"
+#include "core/refine.hh"
 #include "device/executor.hh"
 #include "linalg/gemm.hh"
 #include "linalg/geqrf.hh"
@@ -85,11 +125,13 @@ struct QdwhOptions {
     /// Explicit 2.5D replication depth c (> 1 forces that many layers);
     /// 0 = derive from comm_plan.
     int repl = 0;
-    /// Precision-ladder policy (core/precision_policy.hh). Native keeps the
-    /// pre-ladder single-precision-type loop; Float/Bf16/Adaptive run
-    /// admissible iterations on lower rungs with a native tail and native H
-    /// polish, promoting a failed low-precision Cholesky iterate one rung
-    /// up instead of aborting.
+    /// Precision-ladder policy (core/precision_policy.hh): the rung plan
+    /// the iteration loop executes. Native plans every iteration on the
+    /// matrix's own type; Float/Bf16/Adaptive run admissible iterations on
+    /// lower rungs with a native tail and native H, promoting a failed
+    /// low-precision Cholesky iterate one rung up instead of aborting.
+    /// Float on a double-kind matrix is the mixed-precision polar
+    /// decomposition: native orthogonality, float-level backward error.
     prec::PrecisionPolicy precision;
     /// Model device staging streams in the batched executor (BatchedHost
     /// only). The service layer turns this off: its jobs run on private
@@ -117,7 +159,7 @@ struct QdwhInfo {
     double stream_h2d_bytes = 0;     ///< modeled device staging volume
     double stream_overlap = 1.0;     ///< modeled copy/compute overlap
 
-    // Precision-ladder accounting. The plain (native) path reports every
+    // Precision-ladder accounting. An all-native plan reports every
     // iteration at the native rung.
     std::vector<prec::Prec> rungs;  ///< executed rung per iteration
     int fallbacks = 0;  ///< low-rung attempts re-run one rung up
@@ -135,9 +177,6 @@ namespace detail {
 template <typename Ex, typename T>
 Status qdwh_impl(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> H, QdwhInfo& info,
                  QdwhOptions const& opts);
-template <typename Ex, typename T>
-Status qdwh_ladder_impl(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> H,
-                        QdwhInfo& info, QdwhOptions const& opts);
 }  // namespace detail
 
 /// Status-returning polar decomposition A = U_p H by QDWH (the batched
@@ -160,8 +199,6 @@ Status qdwh_status(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> H,
     if (opts.max_iter < 1)
         return Status::InvalidArgument;
 
-    bool const ladder =
-        prec::ladder_engaged(opts.precision.request, prec::native_prec<T>());
     try {
         if (opts.target == dev::Target::BatchedHost) {
             dev::ExecOptions eo;
@@ -172,8 +209,7 @@ Status qdwh_status(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> H,
                             * static_cast<std::size_t>(A.tile_nb(0))
                             * sizeof(T);
             dev::Executor ex(eng, eo);
-            Status const s = ladder ? detail::qdwh_ladder_impl(ex, A, H, info, opts)
-                                    : detail::qdwh_impl(ex, A, H, info, opts);
+            Status const s = detail::qdwh_impl(ex, A, H, info, opts);
             auto const& bs = ex.batch_stats();
             info.tile_ops = bs.ops;
             info.engine_tasks = bs.tasks;
@@ -182,8 +218,7 @@ Status qdwh_status(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> H,
             info.stream_overlap = ex.stream_stats().overlap_fraction();
             return s;
         }
-        return ladder ? detail::qdwh_ladder_impl(eng, A, H, info, opts)
-                      : detail::qdwh_impl(eng, A, H, info, opts);
+        return detail::qdwh_impl(eng, A, H, info, opts);
     } catch (Error const&) {
         // A task-level numerical failure (e.g. a non-HPD Cholesky pivot)
         // surfaced at a synchronization point. Quiesce so the engine is
@@ -198,9 +233,9 @@ Status qdwh_status(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> H,
 
 namespace detail {
 
-/// Iteration workspaces for one scalar type. The ladder allocates a second
-/// bundle in the shadow (float) type next to the native one; the plain path
-/// allocates exactly what qdwh_impl always allocated.
+/// Iteration workspaces for one scalar type. A plan with low rungs
+/// allocates a second bundle in the shadow (float) type next to the native
+/// one; an all-native plan allocates only the native bundle.
 template <typename T>
 struct QdwhWorkspace {
     TiledMatrix<T> W;   ///< stacked [W1; W2], (m + n) x n
@@ -276,25 +311,18 @@ void qdwh_chol_iter(Ex& eng, double a, double b, double c,
             from_real<T>(static_cast<R>(a - b / c)), oth);
 }
 
-/// H = U_p^H A0 (+ optional Hermitian symmetrization), Algorithm 1 line 52.
-template <typename Ex, typename T>
-void qdwh_h_stage(Ex& eng, TiledMatrix<T>& U, TiledMatrix<T>& Acpy,
-                  TiledMatrix<T>& H, bool symmetrize) {
-    la::gemm(eng, Op::ConjTrans, Op::NoTrans, T(1), U, Acpy, T(0), H);
-    if (symmetrize) {
-        TiledMatrix<T> Ht(H.row_tile_sizes(), H.col_tile_sizes(), H.grid());
-        la::transpose_copy(eng, Op::ConjTrans, H, Ht);
-        la::add(eng, T(0.5), Ht, T(0.5), H);
-    }
-}
-
-/// Body of qdwh_status after validation; may throw tbp::Error from task
+/// Body of qdwh_status after validation: the plan-driven iteration loop
+/// (see the header comment). May throw tbp::Error from task
 /// synchronization points (caught and mapped by qdwh_status). `Ex` is
 /// rt::Engine (per-tile tasks) or dev::Executor (batched device path).
 template <typename Ex, typename T>
 Status qdwh_impl(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> H, QdwhInfo& info,
                  QdwhOptions const& opts) {
     using R = real_t<T>;
+    using S = prec::shadow_t<T>;
+    prec::Prec const native = prec::native_prec<T>();
+    prec::PrecisionPolicy const& pol = opts.precision;
+
     std::int64_t const n = A.n();
     double const flops0 = eng.flops_executed();
 
@@ -316,7 +344,7 @@ Status qdwh_impl(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> H, QdwhInfo& info,
     QdwhWorkspace<T> ws(row_sizes, col_sizes, A.grid());
     TiledMatrix<T> W1 = ws.W.sub(0, 0, mt, nt);
 
-    // --- Stage 1: two-norm estimate and scaling (lines 11-13) ------------
+    // --- Stage 1: two-norm estimate and scaling (lines 11-13), native -----
     R const alpha = cond::norm2est(eng, A);
     if (alpha == R(0)) {
         info.flops = eng.flops_executed() - flops0;
@@ -325,27 +353,46 @@ Status qdwh_impl(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> H, QdwhInfo& info,
     info.norm2_estimate = static_cast<double>(alpha);
     la::scale(eng, from_real<T>(R(1) / alpha), A);
 
-    // --- Stage 2: condition estimate (lines 14-19) -----------------------
+    // --- Stage 2: condition estimate (lines 14-19), native ----------------
     // The m x n QR runs in the already-allocated W1/Tw iteration
     // workspaces (the first QR iteration reinitializes them anyway)
     // instead of cloning a fresh matrix + T factor per call.
-    R li;
+    R li_est;
     if (opts.condest_override > 0) {
-        li = static_cast<R>(opts.condest_override);
+        li_est = static_cast<R>(opts.condest_override);
     } else {
         R const anorm = la::norm(eng, Norm::One, A);
         la::copy(eng, A, W1);
         la::geqrf(eng, W1, ws.Tw.sub(0, 0, mt, nt), opts.lookahead);
         eng.wait();
         R const rcond = cond::trcondest(eng, W1);
-        li = anorm * rcond / std::sqrt(static_cast<R>(n));
+        li_est = anorm * rcond / std::sqrt(static_cast<R>(n));
     }
     // Clamp into a sane open interval: an exact 0 (singular estimate) still
     // converges with the worst-case parameters; > 1 cannot happen for a
     // correctly scaled iterate but guards estimator overshoot.
     R const li_floor = std::numeric_limits<R>::min() * R(100);
-    li = std::min(std::max(li, li_floor), R(1));
-    info.condest_l0 = static_cast<double>(li);
+    li_est = std::min(std::max(li_est, li_floor), R(1));
+    info.condest_l0 = static_cast<double>(li_est);
+
+    // The l recurrence runs in double from here on — the single source of
+    // the deterministic rung schedule (shared with plan_rungs and the
+    // precision cost model).
+    double li = static_cast<double>(li_est);
+    auto const plan = prec::plan_rungs(li, static_cast<double>(tol1),
+                                       opts.max_iter, pol, native);
+
+    // Shadow workspaces, allocated on first low-rung use (an all-native
+    // plan never pays for them).
+    TiledMatrix<S> Scur, Soth;
+    QdwhWorkspace<S> sws;
+    auto ensure_shadow = [&] {
+        if (!Scur.empty())
+            return;
+        Scur = TiledMatrix<S>(row_sizes, col_sizes, A.grid());
+        Soth = TiledMatrix<S>(row_sizes, col_sizes, A.grid());
+        sws = QdwhWorkspace<S>(row_sizes, col_sizes, A.grid());
+    };
 
     // --- Stage 3: main iteration (lines 21-50) ----------------------------
     // Per-precision measured-counter snapshot: every preceding charging op
@@ -356,63 +403,109 @@ Status qdwh_impl(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> H, QdwhInfo& info,
     for (int p = 0; p < prec::kNumPrec; ++p)
         kf0[static_cast<std::size_t>(p)] =
             blas::kernel::flops_performed(static_cast<prec::Prec>(p));
+
     R conv = R(100);
     // Buffer rotation: `cur` holds A_{k-1}, the iteration writes A_k into
     // `oth`, the convergence check reads both, then the roles swap.
     TiledMatrix<T>* cur = &A;
     TiledMatrix<T>* oth = &Aalt;
+    bool forced_fallback_done = false;
+    auto const unconverged = [&] {
+        return conv >= tol3 || std::abs(li - 1.0) >= static_cast<double>(tol1);
+    };
 
-    while ((conv >= tol3 || std::abs(li - R(1)) >= tol1)
-           && info.iterations < opts.max_iter) {
-        // Dynamic weights (lines 23-27).
-        R const l2 = li * li;
-        R const dd = std::cbrt(R(4) * (R(1) - l2) / (l2 * l2));
-        R const sqd = std::sqrt(R(1) + dd);
-        R const a1 = sqd
-                     + std::sqrt(R(8) - R(4) * dd
-                                 + R(8) * (R(2) - l2) / (l2 * sqd))
-                           / R(2);
-        R const a = a1;
-        R const b = (a - R(1)) * (a - R(1)) / R(4);
-        R const c = a + b - R(1);
-        li = li * (a + b * l2) / (R(1) + c * l2);
-        info.li_history.push_back(static_cast<double>(li));
+    while (unconverged() && info.iterations < opts.max_iter) {
+        std::size_t const k = static_cast<std::size_t>(info.iterations);
+        // Dynamic weights (lines 23-27); c > 100 selects the QR-based
+        // iteration, Eq. (1) (lines 30-36), else the Cholesky-based one,
+        // Eq. (2) (lines 38-44). Bodies read cur and write oth.
+        prec::QdwhWeights const w = prec::qdwh_weights(li);
+        li = w.li_next;
+        info.li_history.push_back(li);
+        prec::Prec rung = k < plan.size() ? plan[k].rung : native;
+        auto body = [&](auto& x, auto& y, auto& wsp) {
+            if (w.qr)
+                qdwh_qr_iter(eng, w.a, w.b, w.c, x, y, wsp, mt, nt,
+                             opts.structured_qr, opts.lookahead);
+            else
+                qdwh_chol_iter(eng, w.a, w.b, w.c, x, y, wsp,
+                               opts.lookahead);
+        };
 
-        if (c > R(100)) {
-            // QR-based iteration, Eq. (1) (lines 30-36).
-            qdwh_qr_iter(eng, static_cast<double>(a), static_cast<double>(b),
-                         static_cast<double>(c), *cur, *oth, ws, mt, nt,
-                         opts.structured_qr, opts.lookahead);
-            ++info.it_qr;
-        } else {
-            // Cholesky-based iteration, Eq. (2) (lines 38-44). The solves
-            // run on the rotation buffer so A_{k-1} stays intact in cur.
-            qdwh_chol_iter(eng, static_cast<double>(a),
-                           static_cast<double>(b), static_cast<double>(c),
-                           *cur, *oth, ws, opts.lookahead);
-            ++info.it_chol;
+        for (;;) {  // fallback: retry one rung up until native
+            bool failed = false;
+            if (pol.force_fallback_iter == info.iterations && rung != native
+                && !forced_fallback_done) {
+                // Test hook: fail *before* submission, so no partial
+                // charges are discarded and accounting stays exact.
+                forced_fallback_done = true;
+                failed = true;
+            } else {
+                try {
+                    if (rung == native) {
+                        body(*cur, *oth, ws);
+                    } else {
+                        ensure_shadow();
+                        la::convert_copy(eng, *cur, Scur);
+                        {
+                            // Submission-side mode: captured into every
+                            // task (and batch-group key) this scope emits.
+                            prec::GemmMode const gm =
+                                rung == prec::Prec::Bf16
+                                    ? (pol.compensated
+                                           ? prec::GemmMode::Bf16Comp
+                                           : prec::GemmMode::Bf16)
+                                    : prec::GemmMode::Native;
+                            prec::ScopedGemmMode mode_scope(gm);
+                            body(Scur, Soth, sws);
+                        }
+                        la::convert_copy(eng, Soth, *oth);
+                    }
+                    // conv = ||A_k - A_{k-1}||_F (lines 47-48): one fused
+                    // read-only sweep over both buffers. Synchronizes.
+                    conv = la::diff_norm_fro(eng, *oth, *cur);
+                    if (!std::isfinite(static_cast<double>(conv))) {
+                        failed = true;
+                        info.kernel_flops_exact = false;
+                    }
+                } catch (Error const&) {
+                    if (rung == native)
+                        throw;  // terminal, mapped by qdwh_status
+                    try {
+                        eng.wait();  // quiesce the poisoned DAG
+                    } catch (...) {
+                    }
+                    failed = true;
+                    info.kernel_flops_exact = false;
+                }
+            }
+            if (!failed)
+                break;
+            if (rung == native)
+                tbp_throw("qdwh: non-finite iterate at native precision");
+            rung = prec::promote(rung, native);
+            ++info.fallbacks;
         }
-        info.rungs.push_back(prec::native_prec<T>());
 
-        // conv = ||A_k - A_{k-1}||_F (lines 47-48): one fused read-only
-        // sweep over both buffers instead of add + destructive norm.
-        // Synchronizes.
-        conv = la::diff_norm_fro(eng, *oth, *cur);
+        info.rungs.push_back(rung);
+        if (w.qr)
+            ++info.it_qr;
+        else
+            ++info.it_chol;
         std::swap(cur, oth);
         ++info.iterations;
     }
     if (cur != &A)
         la::copy(eng, *cur, A);
     info.conv = static_cast<double>(conv);
-    if (info.iterations >= opts.max_iter
-        && (conv >= tol3 || std::abs(li - R(1)) >= tol1)) {
+    if (unconverged()) {
         eng.wait();
         info.flops = eng.flops_executed() - flops0;
         return Status::NotConverged;
     }
     info.converged = true;
 
-    // --- Stage 4: H = U_p^H A (line 52) -----------------------------------
+    // --- Stage 4: H = U_p^H A (line 52), always native --------------------
     if (opts.compute_h)
         qdwh_h_stage(eng, A, Acpy, H, opts.symmetrize_h);
     eng.wait();
@@ -426,11 +519,6 @@ Status qdwh_impl(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> H, QdwhInfo& info,
 }
 
 }  // namespace detail
-
-// The precision-ladder driver (detail::qdwh_ladder_impl) lives in its own
-// header but is an internal continuation of this one: it reuses the
-// iteration bodies above and is dispatched from qdwh_status.
-#include "core/qdwh_ladder.hh"  // IWYU pragma: keep
 
 /// Polar decomposition A = U_p H by QDWH. A (m x n, m >= n) is overwritten
 /// by U_p. If opts.compute_h, H must be n-by-n with A's column tile sizes.

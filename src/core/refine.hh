@@ -1,13 +1,14 @@
-// Inverse-free Newton-Schulz orthogonality refinement, shared by the
-// mixed-precision polar drivers (qdwh_mixed, the Zolo-PD precision ladder).
+// Polar-factor post-processing shared by the QDWH and Zolo-PD drivers:
+// the H = sym(U^H A) stage, and inverse-free Newton-Schulz orthogonality
+// refinement for the Zolo-PD precision ladder,
 //
-//   U <- 3/2 U - 1/2 U (U^H U)
+//   U <- 3/2 U - 1/2 U (U^H U),
 //
-// converges quadratically for sigma(U) in (0, sqrt(3)), so a handful of
-// gemm-bound steps restore native-precision orthogonality to a polar factor
-// computed in float (||I - U^H U|| ~ 1e-6 -> ~1e-12 -> eps64). The backward
-// error of the low-precision stage is *not* repaired (see qdwh_mixed.hh for
-// the accuracy contract).
+// which converges quadratically for sigma(U) in (0, sqrt(3)), so a handful
+// of gemm-bound steps restore native-precision orthogonality to a polar
+// factor computed in float (||I - U^H U|| ~ 1e-6 -> ~1e-12 -> eps64). The
+// backward error of the low-precision stage is *not* repaired: refinement
+// never touches A again, so ||A - U H|| stays at the float stage's level.
 
 #pragma once
 
@@ -20,6 +21,22 @@
 #include "runtime/engine.hh"
 
 namespace tbp {
+
+namespace detail {
+
+/// H = U_p^H A0 (+ optional Hermitian symmetrization), Algorithm 1 line 52.
+template <typename Ex, typename T>
+void qdwh_h_stage(Ex& eng, TiledMatrix<T>& U, TiledMatrix<T>& Acpy,
+                  TiledMatrix<T>& H, bool symmetrize) {
+    la::gemm(eng, Op::ConjTrans, Op::NoTrans, T(1), U, Acpy, T(0), H);
+    if (symmetrize) {
+        TiledMatrix<T> Ht(H.row_tile_sizes(), H.col_tile_sizes(), H.grid());
+        la::transpose_copy(eng, Op::ConjTrans, H, Ht);
+        la::add(eng, T(0.5), Ht, T(0.5), H);
+    }
+}
+
+}  // namespace detail
 
 struct RefineInfo {
     int steps = 0;           ///< Newton-Schulz steps taken

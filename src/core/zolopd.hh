@@ -382,14 +382,8 @@ Status zolo_impl(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> H, ZoloInfo& info,
     }
     info.converged = true;
 
-    if (opts.compute_h) {
-        la::gemm(eng, Op::ConjTrans, Op::NoTrans, T(1), A, Acpy, T(0), H);
-        if (opts.symmetrize_h) {
-            TiledMatrix<T> Ht(col_sizes, col_sizes, A.grid());
-            la::transpose_copy(eng, Op::ConjTrans, H, Ht);
-            la::add(eng, T(0.5), Ht, T(0.5), H);
-        }
-    }
+    if (opts.compute_h)
+        qdwh_h_stage(eng, A, Acpy, H, opts.symmetrize_h);
     eng.wait();
     info.flops = eng.flops_executed() - flops0;
     return Status::Ok;
@@ -432,15 +426,8 @@ Status zolo_ladder_impl(rt::Engine& eng, TiledMatrix<T> A, TiledMatrix<T> H,
     info.refine_steps = r.steps;
     info.orth_after = r.orth_after;
 
-    if (opts.compute_h) {
-        la::gemm(eng, Op::ConjTrans, Op::NoTrans, T(1), A, Acpy, T(0), H);
-        if (opts.symmetrize_h) {
-            TiledMatrix<T> Ht(H.row_tile_sizes(), H.col_tile_sizes(),
-                              A.grid());
-            la::transpose_copy(eng, Op::ConjTrans, H, Ht);
-            la::add(eng, T(0.5), Ht, T(0.5), H);
-        }
-    }
+    if (opts.compute_h)
+        qdwh_h_stage(eng, A, Acpy, H, opts.symmetrize_h);
     eng.wait();
     return Status::Ok;
 }

@@ -36,9 +36,9 @@ void copy(Ex& eng, TiledMatrix<T> A, TiledMatrix<T> B) {
 }
 
 /// B := A element-wise across precisions (slamge/dlag2s-style), tile-wise;
-/// tilings must match. Used by the mixed-precision paths (qdwh_mixed, the
-/// precision ladder) to move iterates between the native matrices and their
-/// low-precision shadows. Charges no kernel flops: conversion is O(n^2)
+/// tilings must match. Used by the precision ladders (QDWH low rungs,
+/// Zolo-PD's float stage) to move iterates between the native matrices and
+/// their low-precision shadows. Charges no kernel flops: conversion is O(n^2)
 /// traffic, accounted separately by the precision cost model.
 template <typename Ex, typename TS, typename TD>
 void convert_copy(Ex& eng, TiledMatrix<TS> const& src, TiledMatrix<TD> dst) {

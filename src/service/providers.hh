@@ -17,10 +17,8 @@
 
 #pragma once
 
-#include <cmath>
 #include <complex>
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "comm/dist.hh"
@@ -249,7 +247,6 @@ inline Grid dist_grid(int nranks) {
 template <typename T>
 void run_dist_qdwh(rt::Engine& eng, JobSpec const& spec, Workspace& ws,
                    JobResult& res) {
-    using R = real_t<T>;
     double const flops0 = eng.flops_executed();
     int const P = spec.ranks > 0 ? spec.ranks : 4;
     Grid const grid = dist_grid(P);
@@ -292,9 +289,7 @@ void run_dist_qdwh(rt::Engine& eng, JobSpec const& spec, Workspace& ws,
 
     res.iterations = info.iterations;
     res.flops = eng.flops_executed() - flops0;
-    double const tol3 =
-        std::cbrt(5.0 * std::numeric_limits<R>::epsilon());
-    res.converged = info.iterations < max_iter || info.conv < tol3;
+    res.converged = info.converged;
     if (!res.converged) {
         res.status = Status::NotConverged;
         res.error = std::string(job_kind_name(spec.kind)) + ": "

@@ -1,11 +1,12 @@
-// Future-work extensions: mixed-precision QDWH and partial-spectrum
-// subspace extraction.
+// Future-work extensions: mixed-precision QDWH (qdwh with
+// Precision::Float — float iterations, native tail and H) and
+// partial-spectrum subspace extraction.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "core/qdwh_mixed.hh"
+#include "core/qdwh.hh"
 #include "core/subspace.hh"
 #include "gen/matgen.hh"
 #include "ref/jacobi.hh"
@@ -13,34 +14,43 @@
 
 using namespace tbp;
 
-TEST(QdwhMixed, ReachesDoubleAccuracy) {
+namespace {
+
+QdwhOptions float_rung() {
+    QdwhOptions qo;
+    qo.precision.request = prec::Precision::Float;
+    return qo;
+}
+
+}  // namespace
+
+TEST(QdwhFloatRung, ReachesDoubleAccuracy) {
     rt::Engine eng(3);
     gen::MatGenOptions opt;
-    opt.cond = 1e6;  // within float's capability for the low-precision stage
+    opt.cond = 1e6;  // within float's capability for the low-precision rungs
     opt.seed = 161;
     int const n = 40, nb = 8;
     auto A = gen::cond_matrix<double>(eng, n, n, nb, opt);
     auto Ad = ref::to_dense(A);
     TiledMatrix<double> H(n, n, nb);
-    auto info = qdwh_mixed(eng, A, H);
+    auto info = qdwh(eng, A, H, float_rung());
 
     auto U = ref::to_dense(A);
     double const orth = ref::orthogonality(U) / std::sqrt(static_cast<double>(n));
     EXPECT_LE(orth, 1e-14);  // double-precision orthogonality
     auto UH = ref::gemm(Op::NoTrans, Op::NoTrans, 1.0, U, ref::to_dense(H));
-    // Backward error is bounded by the float stage's backward stability
-    // (eps32-level), not eps64 — see the contract in qdwh_mixed.hh.
+    // Backward error is bounded by the float rungs' backward stability
+    // (eps32-level), not eps64 — see the accuracy contract in core/qdwh.hh.
     EXPECT_LE(ref::diff_fro(UH, Ad) / ref::norm_fro(Ad), 50 * 1.2e-7);
 
-    // The float stage leaves ~1e-6 orthogonality error; refinement must
-    // actually engage and clean it up.
-    EXPECT_GT(info.orth_before, 1e-9);
-    EXPECT_LT(info.orth_after, 1e-12);
-    EXPECT_GE(info.refine_steps, 1);
-    EXPECT_LE(info.refine_steps, 3);  // quadratic from 1e-6
+    // The float rungs must actually carry the iteration, with the native
+    // tail restoring double orthogonality.
+    ASSERT_FALSE(info.rungs.empty());
+    EXPECT_EQ(info.rungs.front(), prec::Prec::Float);
+    EXPECT_EQ(info.rungs.back(), prec::Prec::Double);
 }
 
-TEST(QdwhMixed, MatchesFullDoubleResult) {
+TEST(QdwhFloatRung, MatchesFullDoubleResult) {
     gen::MatGenOptions opt;
     opt.cond = 1e4;  // forward error scales as eps32 * kappa
     opt.seed = 162;
@@ -50,7 +60,7 @@ TEST(QdwhMixed, MatchesFullDoubleResult) {
         rt::Engine eng(3);
         auto A = gen::cond_matrix<double>(eng, n, n, nb, opt);
         TiledMatrix<double> H(n, n, nb);
-        qdwh_mixed(eng, A, H);
+        qdwh(eng, A, H, float_rung());
         u_mixed = ref::to_dense(A);
     }
     {
@@ -64,7 +74,7 @@ TEST(QdwhMixed, MatchesFullDoubleResult) {
     EXPECT_LE(ref::diff_fro(u_mixed, u_double), 1.2e-7 * 1e4);
 }
 
-TEST(QdwhMixed, Rectangular) {
+TEST(QdwhFloatRung, Rectangular) {
     rt::Engine eng(3);
     gen::MatGenOptions opt;
     opt.cond = 1e3;
@@ -72,7 +82,7 @@ TEST(QdwhMixed, Rectangular) {
     int const m = 50, n = 20, nb = 8;
     auto A = gen::cond_matrix<double>(eng, m, n, nb, opt);
     TiledMatrix<double> H(n, n, nb);
-    qdwh_mixed(eng, A, H);
+    qdwh(eng, A, H, float_rung());
     auto U = ref::to_dense(A);
     EXPECT_LE(ref::orthogonality(U) / std::sqrt(static_cast<double>(n)), 1e-14);
 }

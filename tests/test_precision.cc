@@ -1,9 +1,11 @@
-// Adaptive precision-ladder QDWH (core/precision_policy.hh,
-// core/qdwh_ladder.hh, comm/dist_qdwh.hh, perf/prec_model.hh): accuracy of
-// the adaptive schedule against the all-native run across types and
-// conditioning, fallback promotion, bitwise determinism, distributed /
-// single-rank schedule agreement with the exact byte-halving identity, and
-// exact model == measured kernel-counter agreement per precision bucket.
+// Precision-ladder QDWH (core/precision_policy.hh, core/qdwh.hh,
+// comm/dist_qdwh.hh, perf/prec_model.hh): accuracy of the adaptive schedule
+// against the all-native run across types and conditioning, fallback
+// promotion, bitwise determinism, requests that plan all-native rungs being
+// bitwise-identical to Native, distributed / single-rank schedule agreement
+// with the exact byte-halving identity, exact model == measured
+// kernel-counter agreement per precision bucket, and the float-rung H
+// contract.
 
 #include <gtest/gtest.h>
 
@@ -13,7 +15,6 @@
 
 #include "comm/dist_qdwh.hh"
 #include "core/qdwh.hh"
-#include "core/qdwh_mixed.hh"
 #include "gen/matgen.hh"
 #include "perf/prec_model.hh"
 #include "ref/dense.hh"
@@ -122,6 +123,105 @@ TYPED_TEST(Precision, AdaptiveMatchesNativeOrthogonalityAcrossCond) {
         expect_prec_model_exact<T>(info, A.row_tile_sizes(),
                                    A.col_tile_sizes(), qo.structured_qr);
     }
+}
+
+// Native is the all-native rung plan, so every request that plans no low
+// rung — Double, and Float on a float-kind type — must run the identical
+// loop: bitwise-identical U and H, the same executed rungs, and the same
+// l_k history.
+TYPED_TEST(Precision, AllNativeRequestsAreBitwiseIdentical) {
+    using T = TypeParam;
+    int const n = 40, nb = 16;
+    struct Run {
+        ref::Dense<T> U, H;
+        QdwhInfo info;
+    };
+    auto run = [&](prec::Precision req) {
+        rt::Engine eng(3);
+        gen::MatGenOptions opt;
+        opt.cond = 1e6;
+        opt.seed = 618;
+        auto A = gen::cond_matrix<T>(eng, n, n, nb, opt);
+        TiledMatrix<T> H(n, n, nb);
+        QdwhOptions qo;
+        qo.precision.request = req;
+        Run r;
+        EXPECT_EQ(qdwh_status(eng, A, H, r.info, qo), Status::Ok)
+            << prec::precision_name(req);
+        r.U = ref::to_dense(A);
+        r.H = ref::to_dense(H);
+        return r;
+    };
+    auto bytes_equal = [](ref::Dense<T> const& x, ref::Dense<T> const& y) {
+        return x.m() == y.m() && x.n() == y.n()
+               && std::memcmp(x.data(), y.data(),
+                              sizeof(T) * static_cast<std::size_t>(x.m())
+                                  * static_cast<std::size_t>(x.n()))
+                      == 0;
+    };
+    std::vector<prec::Precision> reqs{prec::Precision::Double};
+    if (prec::native_prec<T>() == prec::Prec::Float)
+        reqs.push_back(prec::Precision::Float);
+    Run const base = run(prec::Precision::Native);
+    ASSERT_FALSE(base.info.rungs.empty());
+    for (auto r : base.info.rungs)
+        EXPECT_EQ(r, prec::native_prec<T>());
+    for (auto req : reqs) {
+        Run const r = run(req);
+        EXPECT_TRUE(bytes_equal(r.U, base.U)) << prec::precision_name(req);
+        EXPECT_TRUE(bytes_equal(r.H, base.H)) << prec::precision_name(req);
+        EXPECT_EQ(r.info.rungs, base.info.rungs) << prec::precision_name(req);
+        EXPECT_EQ(r.info.li_history, base.info.li_history)
+            << prec::precision_name(req);
+    }
+}
+
+// The distributed loop's default policy is the explicit Native one: the
+// same iterate bytes and the same per-iteration branch traffic.
+TEST(PrecisionLadder, DistDefaultPolicyIsNative) {
+    using T = double;
+    int const n = 24, nb = 4;
+    double const l0 = 1e-8;
+    gen::MatGenOptions opt;
+    opt.cond = 1e8;
+    opt.seed = 619;
+    rt::Engine eng(2);
+    auto At = gen::cond_matrix<T>(eng, n, n, nb, opt);
+    auto Ad = ref::to_dense(At);
+
+    auto run = [&](bool explicit_native, comm::DistQdwhInfo& info,
+                   ref::Dense<T>& U) {
+        Grid g{2, 2};
+        comm::World world(g.size());
+        world.run([&](comm::Communicator& c) {
+            comm::DistMatrix<T> A(c, n, n, nb, g);
+            A.fill([&](std::int64_t i, std::int64_t j) { return Ad(i, j); });
+            auto inf = explicit_native
+                           ? comm::dist_qdwh(c, g, A, l0, /*max_iter=*/30,
+                                             prec::PrecisionPolicy{})
+                           : comm::dist_qdwh(c, g, A, l0);
+            auto D = gather(A, c);
+            if (c.rank() == 0) {
+                info = inf;
+                U = D;
+            }
+        });
+    };
+    comm::DistQdwhInfo d, e;
+    ref::Dense<T> Ud, Ue;
+    run(false, d, Ud);
+    run(true, e, Ue);
+    ASSERT_TRUE(d.converged);
+    ASSERT_TRUE(e.converged);
+    EXPECT_EQ(d.iterations, e.iterations);
+    EXPECT_EQ(d.rungs, e.rungs);
+    EXPECT_EQ(d.iter_bytes_sent, e.iter_bytes_sent);
+    EXPECT_EQ(d.iter_msgs_sent, e.iter_msgs_sent);
+    EXPECT_EQ(d.conv, e.conv);
+    ASSERT_EQ(Ud.m(), Ue.m());
+    EXPECT_EQ(std::memcmp(Ud.data(), Ue.data(),
+                          sizeof(T) * static_cast<std::size_t>(n * n)),
+              0);
 }
 
 // Ill-conditioned double-kind inputs must actually engage low rungs (the
@@ -248,8 +348,7 @@ TEST(PrecisionLadder, DistAdaptiveMatchesSingleRankAndHalvesBytes) {
             comm::DistMatrix<T> A(c, n, n, nb, g);
             A.fill([&](std::int64_t i, std::int64_t j) { return Ad(i, j); });
             auto inf = adaptive
-                           ? comm::dist_qdwh_adaptive(
-                                 c, comm::ProcGrid3d{p, q, 1}, A, l0, pol)
+                           ? comm::dist_qdwh(c, g, A, l0, /*max_iter=*/30, pol)
                            : comm::dist_qdwh(c, g, A, l0);
             auto D = gather(A, c);
             if (c.rank() == 0) {
@@ -359,10 +458,10 @@ TEST(PrecisionLadder, FloatKindAdaptiveCapsAtFloat) {
                                    A.col_tile_sizes(), qo.structured_qr);
 }
 
-// qdwh_mixed's H contract (satellite of the ladder work): H is computed in
-// double from the *original* A and the refined U — Hermitian, and equal to
-// sym(U^H A) at double roundoff even though the iteration ran in float.
-TEST(QdwhMixed, HComputedInDoubleFromOriginalA) {
+// The float rung's H contract: H is computed in double from the *original*
+// A and the native-tail U — Hermitian, and equal to sym(U^H A) at double
+// roundoff even though the iterations ran in float.
+TEST(QdwhFloatRung, HComputedInDoubleFromOriginalA) {
     rt::Engine eng(3);
     gen::MatGenOptions opt;
     opt.cond = 1e4;
@@ -371,11 +470,15 @@ TEST(QdwhMixed, HComputedInDoubleFromOriginalA) {
     auto A = gen::cond_matrix<double>(eng, n, n, nb, opt);
     auto Ad = ref::to_dense(A);
     TiledMatrix<double> H(n, n, nb);
-    auto info = qdwh_mixed(eng, A, H);
-    EXPECT_LE(info.orth_after, 1e-13);
+    QdwhOptions qo;
+    qo.precision.request = prec::Precision::Float;
+    auto info = qdwh(eng, A, H, qo);
+    ASSERT_FALSE(info.rungs.empty());
+    EXPECT_EQ(info.rungs.front(), prec::Prec::Float);
 
     auto U = ref::to_dense(A);
     auto Hd = ref::to_dense(H);
+    EXPECT_LE(ref::orthogonality(U), 1e-13);
     // Hermitian to the last bit of the symmetrization.
     for (int j = 0; j < n; ++j)
         for (int i = 0; i < n; ++i)

@@ -125,10 +125,13 @@ TEST(Service, FailingJobsReportErrorsWithoutAbortingBatch) {
     rt::Engine eng(3);
     svc::PolarService service(eng);
 
-    // Healthy jobs surrounding three distinct failure modes.
+    // Healthy jobs surrounding distinct failure modes.
     auto good = make_spec(JobKind::Qdwh, 'd', 12, 12, 4, 21);
     auto not_conv = make_spec(JobKind::Qdwh, 'd', 16, 16, 8, 22, 1e8);
     not_conv.max_iter = 1;
+    // The distributed solver's own loop-exit test decides convergence.
+    auto dist_not_conv = make_spec(JobKind::DistQdwh, 'd', 16, 16, 4, 25, 1e8);
+    dist_not_conv.max_iter = 1;
     auto non_hpd = make_spec(JobKind::Posv, 'd', 1, 16, 8, 23);
     non_hpd.cond = -1;  // indefinite input: potrf throws mid-batch
     auto invalid = make_spec(JobKind::Qdwh, 'd', 8, 16, 8, 24);  // m < n
@@ -137,6 +140,7 @@ TEST(Service, FailingJobsReportErrorsWithoutAbortingBatch) {
     for (int i = 0; i < 6; ++i)
         handles.push_back(service.submit(good));
     auto const h_nc = service.submit(not_conv);
+    auto const h_dnc = service.submit(dist_not_conv);
     auto const h_hpd = service.submit(non_hpd);
     auto const h_inv = service.submit(invalid);
     for (int i = 0; i < 6; ++i)
@@ -145,6 +149,8 @@ TEST(Service, FailingJobsReportErrorsWithoutAbortingBatch) {
 
     EXPECT_EQ(h_nc.result().status, Status::NotConverged);
     EXPECT_FALSE(h_nc.result().error.empty());
+    EXPECT_EQ(h_dnc.result().status, Status::NotConverged);
+    EXPECT_FALSE(h_dnc.result().error.empty());
     EXPECT_EQ(h_hpd.result().status, Status::NumericalError);
     EXPECT_FALSE(h_hpd.result().error.empty());
     EXPECT_EQ(h_inv.result().status, Status::InvalidArgument);
@@ -154,7 +160,7 @@ TEST(Service, FailingJobsReportErrorsWithoutAbortingBatch) {
         ASSERT_EQ(h.result().status, Status::Ok) << h.result().error;
         EXPECT_TRUE(bytes_match(h, o));
     }
-    EXPECT_EQ(service.stats().failed, 3u);
+    EXPECT_EQ(service.stats().failed, 4u);
 
     // The shared engine survives unpoisoned: its ambient job still works.
     int ran = 0;

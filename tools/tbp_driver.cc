@@ -3,7 +3,7 @@
 // schedule, and get the paper's metrics printed.
 //
 // Usage:
-//   tbp_driver [--algo qdwh|zolo|mixed|newton|svdpd|svd|dqdwh|serve]
+//   tbp_driver [--algo qdwh|zolo|newton|svdpd|svd|dqdwh|serve]
 //              [--m M] [--n N] [--nb NB] [--cond KAPPA]
 //              [--dist geom|arith|cluster|loguni]
 //              [--type s|d|c|z] [--mode task|forkjoin|seq]
@@ -13,6 +13,7 @@
 // Examples:
 //   tbp_driver --algo qdwh --n 512 --cond 1e16
 //   tbp_driver --algo qdwh --n 512 --cond 1e12 --precision adaptive
+//   tbp_driver --algo qdwh --n 512 --cond 1e6 --precision float  # mixed
 //   tbp_driver --algo zolo --n 256 --r 8 --type z
 //   tbp_driver --algo qdwh --n 384 --mode forkjoin   # ScaLAPACK-style run
 //   tbp_driver --algo serve --jobs 200 --n 64 --nb 32  # batched service
@@ -38,7 +39,6 @@
 #include "perf/qdwh_model.hh"
 #include "perf/sched_report.hh"
 #include "core/qdwh.hh"
-#include "core/qdwh_mixed.hh"
 #include "device/executor.hh"
 #include "core/qdwh_svd.hh"
 #include "core/zolopd.hh"
@@ -76,7 +76,7 @@ struct Args {
     bool target_set = false;   // --target given (serve: Auto when unset)
     int lookahead = 0;         // panel lookahead depth (geqrf/potrf)
     int max_batch = 32;        // largest coalesced batch under --target batched
-    // --- precision ladder (qdwh, zolo) ------------------------------------
+    // --- precision ladder (qdwh, zolo, dqdwh) -----------------------------
     prec::Precision precision = prec::Precision::Native;  // --precision
     double rung_safety = 0;    // --rung-safety (0 = policy default)
     int tail_native = -1;      // --tail-native (-1 = policy default)
@@ -115,8 +115,8 @@ fault::RetryConfig make_retry_config(Args const& a) {
 
 [[noreturn]] void usage(char const* argv0) {
     std::fprintf(stderr,
-                 "usage: %s [--algo qdwh|zolo|mixed|newton|svdpd|svd|dqdwh|"
-                 "serve] [--m M] [--n N]\n"
+                 "usage: %s [--algo qdwh|zolo|newton|svdpd|svd|dqdwh|serve] "
+                 "[--m M] [--n N]\n"
                  "          [--nb NB] [--cond K] [--dist geom|arith|cluster|"
                  "loguni]\n"
                  "          [--type s|d|c|z] [--mode task|forkjoin|seq] "
@@ -138,7 +138,7 @@ fault::RetryConfig make_retry_config(Args const& a) {
                  "per-tile oracle.\n"
                  "  --lookahead D prioritizes trailing updates feeding the "
                  "next D panels.\n"
-                 "  --precision puts qdwh/zolo on the precision ladder: "
+                 "  --precision puts qdwh/zolo/dqdwh on the precision ladder: "
                  "'adaptive' picks\n"
                  "  simulated-bf16 / float / native per iteration from the "
                  "l_k recurrence\n"
@@ -150,6 +150,9 @@ fault::RetryConfig make_retry_config(Args const& a) {
                  "iterations native,\n"
                  "  --compensated turns on the 3-pass compensated bf16 "
                  "accumulation.\n"
+                 "  Mixed-precision QDWH (float iterations, native "
+                 "orthogonality and H)\n"
+                 "  is --algo qdwh --precision float.\n"
                  "  --algo dqdwh runs the distributed QDWH over P virtual "
                  "ranks.\n"
                  "  --algo serve runs a mixed qdwh/zolo/posv/geqrf batch of "
@@ -354,6 +357,17 @@ prec::PrecisionPolicy make_policy(Args const& a) {
     return pol;
 }
 
+/// Executed rung per iteration, comma-separated ("float,float,double").
+std::string rung_string(std::vector<prec::Prec> const& rungs) {
+    std::string sched;
+    for (auto r : rungs) {
+        if (!sched.empty())
+            sched += ",";
+        sched += prec::prec_name(r);
+    }
+    return sched;
+}
+
 template <typename T>
 int run_tiled(Args const& a) {
     rt::Engine eng(a.threads, a.mode, a.sched);
@@ -410,17 +424,6 @@ int run_tiled(Args const& a) {
         it_qr = info.qr_solves;
         it_chol = info.chol_solves;
         flops = info.flops;
-    } else if (a.algo == "mixed") {
-        if constexpr (std::is_same_v<T, double>) {
-            auto info = qdwh_mixed(eng, A, H);
-            iters = info.low_precision.iterations;
-            it_qr = info.low_precision.it_qr;
-            it_chol = info.refine_steps;
-            flops = info.low_precision.flops;
-        } else {
-            std::fprintf(stderr, "--algo mixed requires --type d\n");
-            return 2;
-        }
     } else if (a.algo == "svd") {
         auto res = qdwh_svd(eng, A, {});
         double const secs = t_run.elapsed();
@@ -461,15 +464,9 @@ int run_tiled(Args const& a) {
                 "%.2f Gflop/s\n",
                 iters, it_qr, it_chol, secs, flops / secs / 1e9);
     if (a.precision != prec::Precision::Native && !rungs.empty()) {
-        std::string sched;
-        for (auto r : rungs) {
-            if (!sched.empty())
-                sched += ",";
-            sched += prec::prec_name(r);
-        }
         std::printf("  precision ladder: %s   rungs %s   fallbacks %d\n",
-                    prec::precision_name(a.precision), sched.c_str(),
-                    fallbacks);
+                    prec::precision_name(a.precision),
+                    rung_string(rungs).c_str(), fallbacks);
         std::printf("  kernel flops by rung: double %.3e  float %.3e  "
                     "bf16 %.3e\n",
                     prec_flops[static_cast<std::size_t>(prec::Prec::Double)],
@@ -606,7 +603,8 @@ int run_dist(Args const& a) {
     world.run([&](comm::Communicator& c) {
         comm::DistMatrix<T> A(c, a.m, a.n, a.nb, g);
         A.fill([&](std::int64_t i, std::int64_t j) { return Ad(i, j); });
-        auto inf = comm::dist_qdwh(c, g3, A, 1.0 / a.cond);
+        auto inf = comm::dist_qdwh(c, g3, A, 1.0 / a.cond, /*max_iter=*/30,
+                                   make_policy(a));
         auto dense = comm::dist_gather(c, A);
         if (c.rank() == 0) {
             info = inf;
@@ -646,6 +644,10 @@ int run_dist(Args const& a) {
                 static_cast<unsigned long long>(plan.vol.reduce_bytes));
     std::printf("  iterations %d   ||A||_2 est %.3e   time %.3fs\n",
                 info.iterations, info.norm2_estimate, secs);
+    if (a.precision != prec::Precision::Native && !info.rungs.empty())
+        std::printf("  precision ladder: %s   rungs %s\n",
+                    prec::precision_name(a.precision),
+                    rung_string(info.rungs).c_str());
     std::printf("  ||I-U'U||/sqrt(n) = %.3e   ||A-UH||/||A|| = %.3e\n", orth,
                 bwd);
     auto rep = perf::comm_report(world);
