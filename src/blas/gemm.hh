@@ -91,7 +91,7 @@ void gemm_naive(Op opA, Op opB, T alpha, Tile<T> const& A, Tile<T> const& B,
     }
 }
 
-/// Path selection without flop accounting — used by the blocked level-3
+/// Path selection without flop accounting — used by the recursive level-3
 /// kernels whose public entry points charge their own (aggregate) counts.
 /// A float-typed call under an active bf16 gemm mode always takes the
 /// packed path: the bf16 truncation lives in the pack layer, so routing to

@@ -11,12 +11,21 @@
 //   Q = H_1 * H_2 * ... * H_k = I - V * T * V^H with T upper triangular.
 // The factorization loop applies H^H from the left, so A = Q * R.
 //
-// The appliers (unmqr, tsmqr) are GEMM-shaped: both are compact-WY products
-// C -= V op(T) V^H C. Each has a *_naive elementwise reference and a level-3
-// form (copy + trmm on the triangular factors + GEMM on the dense blocks)
-// that routes the bulk of the flops through the packed micro-kernel layer;
-// the shared entry point dispatches on size / TBP_NAIVE_BLAS and charges the
-// aggregate flops to the measured-rate counter.
+// Every kernel but ttqrt has a *_naive element-loop reference (the test
+// oracle and the TBP_NAIVE_BLAS path) and a *_level3 form that routes the
+// bulk of the flops through the packed micro-kernel layer. The shared entry
+// point picks the path (TBP_NAIVE_BLAS, plus a size crossover for the
+// appliers) and charges the call's flops once; internal calls use the
+// non-counting *_dispatch forms.
+//   - The appliers (unmqr, tsmqr, ttmqr) are compact-WY products
+//     C -= V op(T) V^H C: copy + trmm on the triangular factors + GEMM on
+//     the dense blocks.
+//   - The panels (geqrt, tsqrt) use inner blocking ib =
+//     kernel::kQrInnerBlock: ib columns are factored by the level-2 loop,
+//     the rest of the tile is updated by the applier with that block
+//     reflector, and T is merged blockwise as T12 = -T11 (V1^H V2) T22
+//     (GEMM + trmm). T keeps one layout on every path: the full k-by-k
+//     upper-triangular factor with a zeroed strict lower part.
 
 #pragma once
 
@@ -84,18 +93,18 @@ LarfgResult<T> larfg(T alpha, int n_tail, T* x, int incx = 1) {
 /// triangle of A holds R, the strict lower triangle holds the reflector
 /// vectors V (unit diagonal implicit), and T (k-by-k upper triangular with
 /// k = min(mb, nb)) holds the compact WY factor: Q = I - V T V^H.
+/// Reference level-2 loop; also factors the ib-wide panels of geqrt_level3.
 template <typename T>
-void geqrt(Tile<T> const& A, Tile<T> const& Tf) {
+void geqrt_naive(Tile<T> const& A, Tile<T> const& Tf) {
     int const mb = A.mb();
     int const nb = A.nb();
     int const k = std::min(mb, nb);
     tbp_require(Tf.mb() >= k && Tf.nb() >= k);
 
-    std::vector<T> tau(k);
     for (int j = 0; j < k; ++j) {
-        // Reflector from column j, rows j..mb-1.
+        // Reflector from column j, rows j..mb-1; tau parks on T's diagonal.
         auto r = larfg(A(j, j), mb - 1 - j, &A(std::min(j + 1, mb - 1), j));
-        tau[j] = r.tau;
+        Tf(j, j) = r.tau;
         A(j, j) = from_real<T>(r.beta);
 
         // Apply H_j^H = I - conj(tau) v v^H to A(j:mb, j+1:nb).
@@ -117,34 +126,61 @@ void geqrt(Tile<T> const& A, Tile<T> const& Tf) {
     //   T(j, j)    = tau_j
     //   T(0:j, j)  = -tau_j * T(0:j, 0:j) * (V(:, 0:j)^H v_j)
     for (int j = 0; j < k; ++j) {
-        Tf(j, j) = tau[j];
-        if (tau[j] == T(0)) {
+        T const tau = Tf(j, j);
+        if (tau == T(0)) {
             for (int i = 0; i < j; ++i)
                 Tf(i, j) = T(0);
-            continue;
-        }
-        // z_i = V(:, i)^H v_j = conj(V(j, i)) + sum_{r > j} conj(A(r, i)) A(r, j)
-        for (int i = 0; i < j; ++i) {
-            T z = conj_val(A(j, i));
-            for (int r = j + 1; r < mb; ++r)
-                z += conj_val(A(r, i)) * A(r, j);
-            Tf(i, j) = -tau[j] * z;
-        }
-        // T(0:j, j) = T(0:j, 0:j) * T(0:j, j) (in-place upper-triangular mv).
-        for (int i = 0; i < j; ++i) {
-            T s(0);
-            for (int l = i; l < j; ++l)
-                s += Tf(i, l) * Tf(l, j);
-            Tf(i, j) = s;
+        } else {
+            // z_i = V(:, i)^H v_j
+            //     = conj(V(j, i)) + sum_{r > j} conj(A(r, i)) A(r, j)
+            for (int i = 0; i < j; ++i) {
+                T z = conj_val(A(j, i));
+                for (int r = j + 1; r < mb; ++r)
+                    z += conj_val(A(r, i)) * A(r, j);
+                Tf(i, j) = -tau * z;
+            }
+            // T(0:j, j) = T(0:j, 0:j) * T(0:j, j) (in-place upper mv).
+            for (int i = 0; i < j; ++i) {
+                T s(0);
+                for (int l = i; l < j; ++l)
+                    s += Tf(i, l) * Tf(l, j);
+                Tf(i, j) = s;
+            }
         }
         // Zero the strictly lower part of column j so T can be used whole.
         for (int i = j + 1; i < Tf.mb(); ++i)
             Tf(i, j) = T(0);
     }
-
-    kernel::count_flops(flops::geqrf(mb, nb) * (fma_flops<T>() / 2.0),
-                        prec::charge_prec<T>());
 }
+
+namespace detail {
+
+/// Merge the T factor of reflector columns [0, j0) with the one of the
+/// panel [j0, j0 + jb) already on T's diagonal:
+///   T(0:j0, j0:j0+jb) = -T11 (V1^H V2) T22.
+/// Z holds (V1^H V2)^H = V2^H V1 (jb-by-j0) on entry and is overwritten.
+/// Everything is left trmm or a copy, so no right-side trmm is needed:
+/// T12 = -T11 (T22^H Z)^H.
+template <typename T>
+void merge_t(Tile<T> const& Z, Tile<T> const& Tf, int j0, int jb) {
+    trmm_dispatch(Uplo::Upper, Op::ConjTrans, Diag::NonUnit, T(1),
+                  Tf.sub(j0, j0, jb, jb), Z);
+    auto T12 = Tf.sub(0, j0, j0, jb);
+    transpose_copy(Op::ConjTrans, Z, T12);
+    trmm_dispatch(Uplo::Upper, Op::NoTrans, Diag::NonUnit, T(-1),
+                  Tf.sub(0, 0, j0, j0), T12);
+}
+
+/// Zero T(j0+jb:, j0:j0+jb), the part of the panel's block column below
+/// its diagonal block (the panel factor zeroes inside the block only).
+template <typename T>
+void zero_below_panel(Tile<T> const& Tf, int j0, int jb) {
+    int const rest = Tf.mb() - j0 - jb;
+    if (rest > 0)
+        set(T(0), T(0), Tf.sub(j0 + jb, j0, rest, jb));
+}
+
+}  // namespace detail
 
 /// Apply the block reflector from geqrt(V, T) to tile C from the left
 /// (reference element loops):
@@ -253,17 +289,82 @@ void unmqr_level3(Op op, Tile<T> const& V, Tile<T> const& Tf,
                       W, T(1), C.sub(k, 0, mb - k, nn));
 }
 
+/// Path selection without flop accounting (the public entry and geqrt's
+/// trailing update share it).
+template <typename T>
+void unmqr_dispatch(Op op, Tile<T> const& V, Tile<T> const& Tf,
+                    Tile<T> const& C) {
+    int const mb = V.mb();
+    int const k = std::min(mb, V.nb());
+    double const volume = static_cast<double>(mb) * k * C.nb();
+    if (kernel::use_naive() || volume < 4.0 * kernel::kGemmCrossover)
+        unmqr_naive(op, V, Tf, C);
+    else
+        unmqr_level3(op, V, Tf, C);
+}
+
 template <typename T>
 void unmqr(Op op, Tile<T> const& V, Tile<T> const& Tf, Tile<T> const& C) {
     int const mb = V.mb();
     int const k = std::min(mb, V.nb());
     int const nn = C.nb();
-    double const volume = static_cast<double>(mb) * k * nn;
-    if (kernel::use_naive() || volume < 4.0 * kernel::kGemmCrossover)
-        unmqr_naive(op, V, Tf, C);
-    else
-        unmqr_level3(op, V, Tf, C);
+    unmqr_dispatch(op, V, Tf, C);
     kernel::count_flops(flops::unmqr(mb, nn, k) * (fma_flops<T>() / 2.0),
+                        prec::charge_prec<T>());
+}
+
+/// Inner-blocked geqrt: each kQrInnerBlock-wide panel is factored by
+/// geqrt_naive, the columns right of it get the panel's block reflector
+/// through the applier, and T's block column is merged by merge_t with
+/// Z = V2^H V1 = V2top^H V1top (trmm, V2top unit lower) + V2bot^H V1bot
+/// (GEMM), rows j0..mb only since V2 is zero above row j0.
+/// Workspace: kWork0 for Z, released before the applier (which also uses
+/// kWork0/kWork1) runs.
+template <typename T>
+void geqrt_level3(Tile<T> const& A, Tile<T> const& Tf) {
+    int const mb = A.mb();
+    int const nb = A.nb();
+    int const k = std::min(mb, nb);
+    tbp_require(Tf.mb() >= k && Tf.nb() >= k);
+
+    for (int j0 = 0; j0 < k; j0 += kernel::kQrInnerBlock) {
+        int const jb = std::min(kernel::kQrInnerBlock, k - j0);
+        auto V = A.sub(j0, j0, mb - j0, jb);
+        auto Tjj = Tf.sub(j0, j0, jb, jb);
+        geqrt_naive(V, Tjj);
+        detail::zero_below_panel(Tf, j0, jb);
+
+        if (j0 > 0) {
+            Tile<T> Z(kernel::tls_arena<T>().get(
+                          kernel::kWork0, static_cast<std::size_t>(jb) * j0),
+                      jb, j0, jb);
+            copy(A.sub(j0, 0, jb, j0), Z);
+            trmm_dispatch(Uplo::Lower, Op::ConjTrans, Diag::Unit, T(1),
+                          A.sub(j0, j0, jb, jb), Z);
+            int const below = mb - j0 - jb;
+            if (below > 0)
+                gemm_dispatch(Op::ConjTrans, Op::NoTrans, T(1),
+                              A.sub(j0 + jb, j0, below, jb),
+                              A.sub(j0 + jb, 0, below, j0), T(1), Z);
+            detail::merge_t(Z, Tf, j0, jb);
+        }
+
+        int const right = nb - j0 - jb;
+        if (right > 0)
+            unmqr_dispatch(Op::ConjTrans, V, Tjj,
+                           A.sub(j0, j0 + jb, mb - j0, right));
+    }
+}
+
+template <typename T>
+void geqrt(Tile<T> const& A, Tile<T> const& Tf) {
+    int const mb = A.mb();
+    int const nb = A.nb();
+    if (kernel::use_naive())
+        geqrt_naive(A, Tf);
+    else
+        geqrt_level3(A, Tf);
+    kernel::count_flops(flops::geqrf(mb, nb) * (fma_flops<T>() / 2.0),
                         prec::charge_prec<T>());
 }
 
@@ -271,18 +372,18 @@ void unmqr(Op op, Tile<T> const& V, Tile<T> const& Tf, Tile<T> const& C) {
 /// of A1 (n-by-n, n = A1.nb, A1.mb >= n) and A2 is m2-by-n dense.
 /// On return the upper triangle of A1 holds the new R, A2 holds V2 (the
 /// dense part of the reflectors; the top part of each v_j is e_j), and Tf
-/// the compact WY factor.
+/// the compact WY factor. Reference level-2 loop; also factors the ib-wide
+/// panels of tsqrt_level3.
 template <typename T>
-void tsqrt(Tile<T> const& A1, Tile<T> const& A2, Tile<T> const& Tf) {
+void tsqrt_naive(Tile<T> const& A1, Tile<T> const& A2, Tile<T> const& Tf) {
     int const n = A1.nb();
     int const m2 = A2.mb();
     tbp_require(A1.mb() >= n && A2.nb() == n);
     tbp_require(Tf.mb() >= n && Tf.nb() >= n);
 
-    std::vector<T> tau(n);
     for (int j = 0; j < n; ++j) {
         auto r = larfg(A1(j, j), m2, &A2(0, j));
-        tau[j] = r.tau;
+        Tf(j, j) = r.tau;
         A1(j, j) = from_real<T>(r.beta);
 
         T const ctau = conj_val(r.tau);
@@ -303,12 +404,12 @@ void tsqrt(Tile<T> const& A1, Tile<T> const& A2, Tile<T> const& Tf) {
     // T factor: top parts of the v's are orthonormal e_j's, so only V2
     // contributes to the inner products.
     for (int j = 0; j < n; ++j) {
-        Tf(j, j) = tau[j];
+        T const tau = Tf(j, j);
         for (int i = 0; i < j; ++i) {
             T z(0);
             for (int r = 0; r < m2; ++r)
                 z += conj_val(A2(r, i)) * A2(r, j);
-            Tf(i, j) = -tau[j] * z;
+            Tf(i, j) = -tau * z;
         }
         for (int i = 0; i < j; ++i) {
             T s(0);
@@ -319,9 +420,6 @@ void tsqrt(Tile<T> const& A1, Tile<T> const& A2, Tile<T> const& Tf) {
         for (int i = j + 1; i < Tf.mb(); ++i)
             Tf(i, j) = T(0);
     }
-
-    kernel::count_flops(flops::tsqrt(m2, n) * (fma_flops<T>() / 2.0),
-                        prec::charge_prec<T>());
 }
 
 /// Apply the tsqrt block reflector to the tile pair [C1; C2] (reference
@@ -414,18 +512,75 @@ void tsmqr_level3(Op op, Tile<T> const& V2, Tile<T> const& Tf,
         gemm_dispatch(Op::NoTrans, Op::NoTrans, T(-1), V2, S, T(1), C2);
 }
 
+/// Path selection without flop accounting (the public entry and tsqrt's
+/// trailing update share it).
 template <typename T>
-void tsmqr(Op op, Tile<T> const& V2, Tile<T> const& Tf,
-           Tile<T> const& C1, Tile<T> const& C2) {
+void tsmqr_dispatch(Op op, Tile<T> const& V2, Tile<T> const& Tf,
+                    Tile<T> const& C1, Tile<T> const& C2) {
     int const n = V2.nb();
-    int const m2 = V2.mb();
-    int const nn = C1.nb();
-    double const volume = static_cast<double>(m2 + n) * n * nn;
+    double const volume = static_cast<double>(V2.mb() + n) * n * C1.nb();
     if (kernel::use_naive() || volume < 4.0 * kernel::kGemmCrossover)
         tsmqr_naive(op, V2, Tf, C1, C2);
     else
         tsmqr_level3(op, V2, Tf, C1, C2);
-    kernel::count_flops(flops::tsmqr(m2, n, nn) * (fma_flops<T>() / 2.0),
+}
+
+template <typename T>
+void tsmqr(Op op, Tile<T> const& V2, Tile<T> const& Tf,
+           Tile<T> const& C1, Tile<T> const& C2) {
+    tsmqr_dispatch(op, V2, Tf, C1, C2);
+    kernel::count_flops(flops::tsmqr(V2.mb(), V2.nb(), C1.nb())
+                        * (fma_flops<T>() / 2.0),
+                        prec::charge_prec<T>());
+}
+
+/// Inner-blocked tsqrt: each kQrInnerBlock-wide panel is factored by
+/// tsqrt_naive, the columns right of it get the panel's block reflector
+/// through the applier, and T's block column is merged by merge_t. The
+/// identity tops of the reflectors are mutually orthogonal, so
+/// Z = V2new^H V2old is a single GEMM.
+/// Workspace: kWork0 for Z, released before the applier (which also uses
+/// kWork0) runs.
+template <typename T>
+void tsqrt_level3(Tile<T> const& A1, Tile<T> const& A2, Tile<T> const& Tf) {
+    int const n = A1.nb();
+    int const m2 = A2.mb();
+    tbp_require(A1.mb() >= n && A2.nb() == n);
+    tbp_require(Tf.mb() >= n && Tf.nb() >= n);
+
+    for (int j0 = 0; j0 < n; j0 += kernel::kQrInnerBlock) {
+        int const jb = std::min(kernel::kQrInnerBlock, n - j0);
+        auto V2 = A2.sub(0, j0, m2, jb);
+        auto Tjj = Tf.sub(j0, j0, jb, jb);
+        tsqrt_naive(A1.sub(j0, j0, jb, jb), V2, Tjj);
+        detail::zero_below_panel(Tf, j0, jb);
+
+        if (j0 > 0) {
+            Tile<T> Z(kernel::tls_arena<T>().get(
+                          kernel::kWork0, static_cast<std::size_t>(jb) * j0),
+                      jb, j0, jb);
+            gemm_dispatch(Op::ConjTrans, Op::NoTrans, T(1), V2,
+                          A2.sub(0, 0, m2, j0), T(0), Z);
+            detail::merge_t(Z, Tf, j0, jb);
+        }
+
+        int const right = n - j0 - jb;
+        if (right > 0)
+            tsmqr_dispatch(Op::ConjTrans, V2, Tjj,
+                           A1.sub(j0, j0 + jb, jb, right),
+                           A2.sub(0, j0 + jb, m2, right));
+    }
+}
+
+template <typename T>
+void tsqrt(Tile<T> const& A1, Tile<T> const& A2, Tile<T> const& Tf) {
+    int const n = A1.nb();
+    int const m2 = A2.mb();
+    if (kernel::use_naive())
+        tsqrt_naive(A1, A2, Tf);
+    else
+        tsqrt_level3(A1, A2, Tf);
+    kernel::count_flops(flops::tsqrt(m2, n) * (fma_flops<T>() / 2.0),
                         prec::charge_prec<T>());
 }
 

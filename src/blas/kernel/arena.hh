@@ -1,17 +1,21 @@
 // Per-thread reusable buffer arenas for the kernel layer.
 //
 // The blocked GEMM driver needs two pack buffers per call and the level-3
-// Householder appliers need two small workspaces; allocating them per tile
+// Householder kernels need two small workspaces; allocating them per tile
 // task would put malloc on the hot path of every worker. Each thread instead
 // keeps one arena of named slots that grow monotonically and are reused
-// across calls — after warm-up, tile kernels perform zero allocations.
+// across calls — after warm-up, the level-3 paths of the tile kernels
+// perform no allocations.
 //
 // Buffers are 64-byte aligned (aligned_vector) so packed panels start on
 // cache-line/vector boundaries. Slots are per-thread, so no synchronization
 // is needed; a kernel must not call another kernel that reuses the same slot
 // while its own pointer is live (the slot assignments below keep the GEMM
 // pack slots disjoint from the Householder workspace slots for exactly that
-// reason: unmqr/tsmqr hold W0/W1 across inner gemm/trmm calls).
+// reason: unmqr/tsmqr/ttmqr hold kWork0/kWork1 across inner gemm/trmm
+// calls, and the recursive trmm/trsm/herk call only gemm). geqrt/tsqrt use
+// kWork0 for their T-merge product and drop it before calling an applier,
+// and re-fetch it afterwards: get() may move a slot when it grows.
 
 #pragma once
 
@@ -25,8 +29,8 @@ namespace tbp::blas::kernel {
 enum Slot : int {
     kPackA = 0,   ///< packed A panel (gemm driver only)
     kPackB = 1,   ///< packed B panel (gemm driver only)
-    kWork0 = 2,   ///< unmqr/tsmqr W workspace (held across gemm calls)
-    kWork1 = 3,   ///< unmqr second workspace
+    kWork0 = 2,   ///< applier W/S workspace; geqrt/tsqrt T-merge product
+    kWork1 = 3,   ///< unmqr/ttmqr second workspace
     kNumSlots = 4
 };
 

@@ -20,6 +20,10 @@
 // Complex types use split real/imaginary packing (see pack.hh), so their
 // micro-kernels run on contiguous real planes and auto-vectorize like the
 // real kernels.
+//
+// The non-gemm kernels reach this micro-kernel through two constants below:
+// the recursion base of trsm/trmm/herk and the inner blocking of the
+// geqrt/tsqrt panels. Both are compile-time values, not options.
 
 #pragma once
 
@@ -55,9 +59,17 @@ struct Params<std::complex<double>> {
     static constexpr int MC = 64, KC = 192, NC = 4096;
 };
 
-/// Diagonal-block size for the blocked (outer solve + GEMM update)
-/// formulations of trsm/trmm/herk in level3.hh.
-inline constexpr int kL3Block = 64;
+/// Base case of the recursive trsm/trmm/herk in level3.hh: a diagonal
+/// block at most this wide runs the naive loops; every larger triangle is
+/// halved and its off-diagonal block goes through the packed GEMM.
+/// Measured at nb = 128, one thread: 8 beats 16 by 10-25% on trsm/trmm/
+/// herk (the naive leaves are unvectorized reductions), 32 loses 30-40%.
+inline constexpr int kRecursionBase = 8;
+
+/// Inner blocking `ib` of the geqrt/tsqrt panels in householder.hh: ib
+/// columns are factored by the level-2 loop, the rest of the tile is
+/// updated with the level-3 applier and T is merged blockwise.
+inline constexpr int kQrInnerBlock = 16;
 
 /// Below this m*n*k volume the packed path's setup cost is not worth it and
 /// the dispatchers use the naive kernels directly.

@@ -5,14 +5,17 @@
 // selects an implicit unit diagonal.
 //
 // Each kernel exists in two forms sharing one public entry point:
-//   *_naive   - the original element loops, kept as the tested reference and
-//               used for the diagonal blocks of the blocked forms.
-//   *_blocked - kL3Block-wide diagonal blocks handled naively, everything
-//               else reformulated as GEMM panels routed through the packed
-//               micro-kernel layer (blas/kernel/), where almost all the
-//               flops live.
-// The dispatcher picks naive for small tiles or when TBP_NAIVE_BLAS is set,
-// and charges the call's flops to the measured-rate counter either way.
+//   *_naive     - the original element loops, kept as the tested reference,
+//                 the TBP_NAIVE_BLAS path, and the recursion's base case.
+//   *_recursive - the triangle is halved (split on a multiple of 8) until a
+//                 diagonal block is at most kernel::kRecursionBase wide,
+//                 where the naive loops run; every off-diagonal block is one
+//                 GEMM through the packed micro-kernel layer (blas/kernel/).
+//                 At nb = 128 the naive leaves hold 1/16 of the
+//                 triangle's flops, the GEMMs the rest.
+// The dispatcher picks naive only when TBP_NAIVE_BLAS is set (the recursion
+// falls through to it by itself for small triangles), and charges the
+// call's flops to the measured-rate counter either way.
 
 #pragma once
 
@@ -26,6 +29,23 @@
 #include "matrix/tile.hh"
 
 namespace tbp::blas {
+
+namespace detail {
+
+/// Split point of a triangle of order n > kernel::kRecursionBase: about
+/// half, rounded down to a multiple of 8, and never below 8.
+inline int recursion_split(int n) { return std::max(8, n / 16 * 8); }
+
+/// The stored off-diagonal block of an n-by-n triangular A split at n1:
+/// A12 for Upper, A21 for Lower. Applying `op` to it gives the
+/// off-diagonal block of op(A) either way.
+template <typename T>
+Tile<T> off_diagonal(Uplo uplo, Tile<T> const& A, int n1) {
+    int const n2 = A.mb() - n1;
+    return (uplo == Uplo::Upper) ? A.sub(0, n1, n1, n2) : A.sub(n1, 0, n2, n1);
+}
+
+}  // namespace detail
 
 /// Hermitian rank-k update.
 ///   op == NoTrans:   C := alpha * A * A^H + beta * C,  A n-by-k
@@ -60,44 +80,36 @@ void herk_naive(Uplo uplo, Op op, real_t<T> alpha, Tile<T> const& A,
     }
 }
 
-/// Blocked herk: naive diagonal blocks (preserving the exactly-real
-/// diagonal), GEMM panels for the off-diagonal part of the triangle.
+/// Recursive herk: both diagonal blocks of C recurse (the naive base keeps
+/// the exactly-real diagonal), the off-diagonal block is one GEMM.
 template <typename T>
-void herk_blocked(Uplo uplo, Op op, real_t<T> alpha, Tile<T> const& A,
-                  real_t<T> beta, Tile<T> const& C) {
+void herk_recursive(Uplo uplo, Op op, real_t<T> alpha, Tile<T> const& A,
+                    real_t<T> beta, Tile<T> const& C) {
     int const n = C.mb();
     tbp_require(C.nb() == n);
     int const k = (op == Op::NoTrans) ? A.nb() : A.mb();
     tbp_require(((op == Op::NoTrans) ? A.mb() : A.nb()) == n);
+    if (n <= kernel::kRecursionBase) {
+        herk_naive(uplo, op, alpha, A, beta, C);
+        return;
+    }
 
+    int const n1 = detail::recursion_split(n), n2 = n - n1;
+    bool const notrans = (op == Op::NoTrans);
+    auto A1 = notrans ? A.sub(0, 0, n1, k) : A.sub(0, 0, k, n1);
+    auto A2 = notrans ? A.sub(n1, 0, n2, k) : A.sub(0, n1, k, n2);
+    herk_recursive(uplo, op, alpha, A1, beta, C.sub(0, 0, n1, n1));
+    herk_recursive(uplo, op, alpha, A2, beta, C.sub(n1, n1, n2, n2));
+
+    // C21 = alpha op(A2) op(A1)^H + beta C21, or C12 with A1, A2 swapped.
+    Op const opl = notrans ? Op::NoTrans : Op::ConjTrans;
+    Op const opr = notrans ? Op::ConjTrans : Op::NoTrans;
     T const al = from_real<T>(alpha);
     T const be = from_real<T>(beta);
-    for (int j0 = 0; j0 < n; j0 += kernel::kL3Block) {
-        int const bs = std::min(kernel::kL3Block, n - j0);
-        auto Ad = (op == Op::NoTrans) ? A.sub(j0, 0, bs, k)
-                                      : A.sub(0, j0, k, bs);
-        herk_naive(uplo, op, alpha, Ad, beta, C.sub(j0, j0, bs, bs));
-        if (uplo == Uplo::Lower && j0 + bs < n) {
-            int const mrest = n - j0 - bs;
-            if (op == Op::NoTrans)
-                gemm_dispatch(Op::NoTrans, Op::ConjTrans, al,
-                              A.sub(j0 + bs, 0, mrest, k), A.sub(j0, 0, bs, k),
-                              be, C.sub(j0 + bs, j0, mrest, bs));
-            else
-                gemm_dispatch(Op::ConjTrans, Op::NoTrans, al,
-                              A.sub(0, j0 + bs, k, mrest), A.sub(0, j0, k, bs),
-                              be, C.sub(j0 + bs, j0, mrest, bs));
-        } else if (uplo == Uplo::Upper && j0 > 0) {
-            if (op == Op::NoTrans)
-                gemm_dispatch(Op::NoTrans, Op::ConjTrans, al,
-                              A.sub(0, 0, j0, k), A.sub(j0, 0, bs, k), be,
-                              C.sub(0, j0, j0, bs));
-            else
-                gemm_dispatch(Op::ConjTrans, Op::NoTrans, al,
-                              A.sub(0, 0, k, j0), A.sub(0, j0, k, bs), be,
-                              C.sub(0, j0, j0, bs));
-        }
-    }
+    if (uplo == Uplo::Lower)
+        gemm_dispatch(opl, opr, al, A2, A1, be, C.sub(n1, 0, n2, n1));
+    else
+        gemm_dispatch(opl, opr, al, A1, A2, be, C.sub(0, n1, n1, n2));
 }
 
 template <typename T>
@@ -105,10 +117,10 @@ void herk(Uplo uplo, Op op, real_t<T> alpha, Tile<T> const& A,
           real_t<T> beta, Tile<T> const& C) {
     int const n = C.mb();
     int const k = (op == Op::NoTrans) ? A.nb() : A.mb();
-    if (kernel::use_naive() || n <= kernel::kL3Block)
+    if (kernel::use_naive())
         herk_naive(uplo, op, alpha, A, beta, C);
     else
-        herk_blocked(uplo, op, alpha, A, beta, C);
+        herk_recursive(uplo, op, alpha, A, beta, C);
     kernel::count_flops(flops::syrk(n, k) * (fma_flops<T>() / 2.0),
                         prec::charge_prec<T>());
 }
@@ -192,85 +204,56 @@ void trsm_naive(Side side, Uplo uplo, Op op, Diag diag, T alpha,
     }
 }
 
-/// Blocked trsm: right-looking block substitution — naive solve on each
-/// kL3Block diagonal block, one GEMM panel update of the remaining
-/// right-hand sides per block step.
+/// Recursive trsm: solve with the first diagonal block of op(A), update
+/// the other half of the right-hand sides with one GEMM (which also applies
+/// alpha to it), then solve with the second diagonal block. alpha reaches
+/// each right-hand side exactly once, as in the naive kernel.
 template <typename T>
-void trsm_blocked(Side side, Uplo uplo, Op op, Diag diag, T alpha,
-                  Tile<T> const& A, Tile<T> const& B) {
+void trsm_recursive(Side side, Uplo uplo, Op op, Diag diag, T alpha,
+                    Tile<T> const& A, Tile<T> const& B) {
     int const m = B.mb();
     int const n = B.nb();
     int const na = (side == Side::Left) ? m : n;
     tbp_require(A.mb() == na && A.nb() == na);
-    constexpr int BS = kernel::kL3Block;
-    bool const eff_upper = (uplo == Uplo::Upper) == (op == Op::NoTrans);
-
-    // Same alpha convention as the naive kernel: applied once up front,
-    // alpha == 0 stores zeros unconditionally.
-    kernel::scale_beta(alpha, B);
-    if (na == 0 || m == 0 || n == 0)
+    if (na <= kernel::kRecursionBase) {
+        trsm_naive(side, uplo, op, diag, alpha, A, B);
         return;
-    int const last = (na - 1) / BS * BS;  // first index of the last block
+    }
+    if (m == 0 || n == 0)
+        return;
+
+    int const n1 = detail::recursion_split(na), n2 = na - n1;
+    auto A11 = A.sub(0, 0, n1, n1);
+    auto A22 = A.sub(n1, n1, n2, n2);
+    auto Aoff = detail::off_diagonal(uplo, A, n1);
+    bool const eff_upper = (uplo == Uplo::Upper) == (op == Op::NoTrans);
+    auto solve = [&](T a, Tile<T> const& Ad, Tile<T> const& Bd) {
+        trsm_recursive(side, uplo, op, diag, a, Ad, Bd);
+    };
 
     if (side == Side::Left) {
+        auto B1 = B.sub(0, 0, n1, n);
+        auto B2 = B.sub(n1, 0, n2, n);
         if (!eff_upper) {
-            for (int k0 = 0; k0 < m; k0 += BS) {
-                int const bs = std::min(BS, m - k0);
-                trsm_naive(Side::Left, uplo, op, diag, T(1),
-                           A.sub(k0, k0, bs, bs), B.sub(k0, 0, bs, n));
-                int const mrest = m - k0 - bs;
-                if (mrest > 0) {
-                    auto Ak = (op == Op::NoTrans)
-                                  ? A.sub(k0 + bs, k0, mrest, bs)
-                                  : A.sub(k0, k0 + bs, bs, mrest);
-                    gemm_dispatch(op, Op::NoTrans, T(-1), Ak,
-                                  B.sub(k0, 0, bs, n), T(1),
-                                  B.sub(k0 + bs, 0, mrest, n));
-                }
-            }
+            solve(alpha, A11, B1);
+            gemm_dispatch(op, Op::NoTrans, T(-1), Aoff, B1, alpha, B2);
+            solve(T(1), A22, B2);
         } else {
-            for (int k0 = last; k0 >= 0; k0 -= BS) {
-                int const bs = std::min(BS, m - k0);
-                trsm_naive(Side::Left, uplo, op, diag, T(1),
-                           A.sub(k0, k0, bs, bs), B.sub(k0, 0, bs, n));
-                if (k0 > 0) {
-                    auto Ak = (op == Op::NoTrans) ? A.sub(0, k0, k0, bs)
-                                                  : A.sub(k0, 0, bs, k0);
-                    gemm_dispatch(op, Op::NoTrans, T(-1), Ak,
-                                  B.sub(k0, 0, bs, n), T(1),
-                                  B.sub(0, 0, k0, n));
-                }
-            }
+            solve(alpha, A22, B2);
+            gemm_dispatch(op, Op::NoTrans, T(-1), Aoff, B2, alpha, B1);
+            solve(T(1), A11, B1);
         }
     } else {
+        auto B1 = B.sub(0, 0, m, n1);
+        auto B2 = B.sub(0, n1, m, n2);
         if (eff_upper) {
-            for (int k0 = 0; k0 < n; k0 += BS) {
-                int const bs = std::min(BS, n - k0);
-                trsm_naive(Side::Right, uplo, op, diag, T(1),
-                           A.sub(k0, k0, bs, bs), B.sub(0, k0, m, bs));
-                int const nrest = n - k0 - bs;
-                if (nrest > 0) {
-                    auto Ak = (op == Op::NoTrans)
-                                  ? A.sub(k0, k0 + bs, bs, nrest)
-                                  : A.sub(k0 + bs, k0, nrest, bs);
-                    gemm_dispatch(Op::NoTrans, op, T(-1),
-                                  B.sub(0, k0, m, bs), Ak, T(1),
-                                  B.sub(0, k0 + bs, m, nrest));
-                }
-            }
+            solve(alpha, A11, B1);
+            gemm_dispatch(Op::NoTrans, op, T(-1), B1, Aoff, alpha, B2);
+            solve(T(1), A22, B2);
         } else {
-            for (int k0 = last; k0 >= 0; k0 -= BS) {
-                int const bs = std::min(BS, n - k0);
-                trsm_naive(Side::Right, uplo, op, diag, T(1),
-                           A.sub(k0, k0, bs, bs), B.sub(0, k0, m, bs));
-                if (k0 > 0) {
-                    auto Ak = (op == Op::NoTrans) ? A.sub(k0, 0, bs, k0)
-                                                  : A.sub(0, k0, k0, bs);
-                    gemm_dispatch(Op::NoTrans, op, T(-1),
-                                  B.sub(0, k0, m, bs), Ak, T(1),
-                                  B.sub(0, 0, m, k0));
-                }
-            }
+            solve(alpha, A22, B2);
+            gemm_dispatch(Op::NoTrans, op, T(-1), B2, Aoff, alpha, B1);
+            solve(T(1), A11, B1);
         }
     }
 }
@@ -280,11 +263,10 @@ void trsm(Side side, Uplo uplo, Op op, Diag diag, T alpha,
           Tile<T> const& A, Tile<T> const& B) {
     int const m = B.mb();
     int const n = B.nb();
-    int const na = (side == Side::Left) ? m : n;
-    if (kernel::use_naive() || na <= kernel::kL3Block)
+    if (kernel::use_naive())
         trsm_naive(side, uplo, op, diag, alpha, A, B);
     else
-        trsm_blocked(side, uplo, op, diag, alpha, A, B);
+        trsm_recursive(side, uplo, op, diag, alpha, A, B);
     kernel::count_flops((side == Side::Left ? flops::trsm_left(m, n)
                                             : flops::trsm_right(m, n))
                         * (fma_flops<T>() / 2.0),
@@ -326,60 +308,50 @@ void trmm_naive(Uplo uplo, Op op, Diag diag, T alpha, Tile<T> const& A,
     }
 }
 
-/// Blocked trmm: each block row of B is multiplied by the naive kernel on
-/// the diagonal block, then receives the off-diagonal contribution as a
-/// GEMM panel against the not-yet-overwritten block rows (top-down for
-/// effectively-upper op(A), bottom-up otherwise).
+/// Recursive trmm: with op(A) = [X11 X12; 0 X22] (effectively upper) the
+/// first block row is multiplied by X11, then receives X12 * B2 as one GEMM
+/// while B2 is still unmodified, and B2 is multiplied by X22 last; the
+/// effectively-lower case runs the mirror order.
 template <typename T>
-void trmm_blocked(Uplo uplo, Op op, Diag diag, T alpha, Tile<T> const& A,
-                  Tile<T> const& B) {
+void trmm_recursive(Uplo uplo, Op op, Diag diag, T alpha, Tile<T> const& A,
+                    Tile<T> const& B) {
     int const m = B.mb();
     int const n = B.nb();
     tbp_require(A.mb() == m && A.nb() == m);
-    constexpr int BS = kernel::kL3Block;
-    bool const eff_upper = (uplo == Uplo::Upper) == (op == Op::NoTrans);
-    if (m == 0 || n == 0)
+    if (m <= kernel::kRecursionBase) {
+        trmm_naive(uplo, op, diag, alpha, A, B);
         return;
-    int const last = (m - 1) / BS * BS;
+    }
+    if (n == 0)
+        return;
 
+    int const m1 = detail::recursion_split(m), m2 = m - m1;
+    auto A11 = A.sub(0, 0, m1, m1);
+    auto A22 = A.sub(m1, m1, m2, m2);
+    auto Aoff = detail::off_diagonal(uplo, A, m1);
+    auto B1 = B.sub(0, 0, m1, n);
+    auto B2 = B.sub(m1, 0, m2, n);
+    bool const eff_upper = (uplo == Uplo::Upper) == (op == Op::NoTrans);
     if (eff_upper) {
-        for (int i0 = 0; i0 < m; i0 += BS) {
-            int const bs = std::min(BS, m - i0);
-            trmm_naive(uplo, op, diag, alpha, A.sub(i0, i0, bs, bs),
-                       B.sub(i0, 0, bs, n));
-            int const mrest = m - i0 - bs;
-            if (mrest > 0) {
-                auto Ak = (op == Op::NoTrans) ? A.sub(i0, i0 + bs, bs, mrest)
-                                              : A.sub(i0 + bs, i0, mrest, bs);
-                gemm_dispatch(op, Op::NoTrans, alpha, Ak,
-                              B.sub(i0 + bs, 0, mrest, n), T(1),
-                              B.sub(i0, 0, bs, n));
-            }
-        }
+        trmm_recursive(uplo, op, diag, alpha, A11, B1);
+        gemm_dispatch(op, Op::NoTrans, alpha, Aoff, B2, T(1), B1);
+        trmm_recursive(uplo, op, diag, alpha, A22, B2);
     } else {
-        for (int i0 = last; i0 >= 0; i0 -= BS) {
-            int const bs = std::min(BS, m - i0);
-            trmm_naive(uplo, op, diag, alpha, A.sub(i0, i0, bs, bs),
-                       B.sub(i0, 0, bs, n));
-            if (i0 > 0) {
-                auto Ak = (op == Op::NoTrans) ? A.sub(i0, 0, bs, i0)
-                                              : A.sub(0, i0, i0, bs);
-                gemm_dispatch(op, Op::NoTrans, alpha, Ak, B.sub(0, 0, i0, n),
-                              T(1), B.sub(i0, 0, bs, n));
-            }
-        }
+        trmm_recursive(uplo, op, diag, alpha, A22, B2);
+        gemm_dispatch(op, Op::NoTrans, alpha, Aoff, B1, T(1), B2);
+        trmm_recursive(uplo, op, diag, alpha, A11, B1);
     }
 }
 
 /// Path selection without flop accounting (for composite kernels that
-/// charge aggregate counts, e.g. the Householder appliers).
+/// charge aggregate counts, e.g. the Householder kernels).
 template <typename T>
 void trmm_dispatch(Uplo uplo, Op op, Diag diag, T alpha, Tile<T> const& A,
                    Tile<T> const& B) {
-    if (kernel::use_naive() || B.mb() <= kernel::kL3Block)
+    if (kernel::use_naive())
         trmm_naive(uplo, op, diag, alpha, A, B);
     else
-        trmm_blocked(uplo, op, diag, alpha, A, B);
+        trmm_recursive(uplo, op, diag, alpha, A, B);
 }
 
 template <typename T>

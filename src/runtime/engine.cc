@@ -386,8 +386,11 @@ void Engine::run_task(Task* t, int worker_id, bool stolen) {
 void Engine::wait() {
     if (mode_ != Mode::Sequential) {
         std::unique_lock<std::mutex> lk(queue_mtx_);
+        // Acquire pairs with the acq_rel decrement in run_task(), so every
+        // worker's last writes to its Task happen before the retirement
+        // below destroys it.
         idle_cv_.wait(lk, [&] {
-            return outstanding_.load(std::memory_order_relaxed) == 0;
+            return outstanding_.load(std::memory_order_acquire) == 0;
         });
     }
     // Fresh dependency epoch; tasks are retired.

@@ -5,13 +5,18 @@
 // inputs: gemm across all op combinations, odd/fringe sizes (deliberately
 // not multiples of any MR/NR/MC/KC), strided sub-views with ld > mb, and the
 // alpha/beta corner cases including the beta == 0 store-zeros convention.
-// herk/trsm/trmm run blocked-vs-naive above the kL3Block crossover, and the
-// level-3 Householder appliers run against their element-loop references.
+// herk/trsm/trmm run recursive-vs-naive over triangle orders that hit the
+// naive base case, its edge, and uneven splits; the level-3 Householder
+// appliers and the inner-blocked geqrt/tsqrt panels run against their
+// element-loop references; and every public level-3 and Householder entry
+// must charge its flops:: formula exactly once, on either path.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <tuple>
 
 #include "blas/gemm.hh"
 #include "blas/householder.hh"
@@ -39,6 +44,11 @@ template <typename T>
 real_t<T> path_tol(int k) {
     return test::tol<T>(50.0 * std::max(k, 8));
 }
+
+/// Triangle orders for the recursive-vs-naive checks: the naive base case
+/// (<= kRecursionBase), its edge, and uneven splits one and more levels
+/// deep.
+constexpr int kTriangleOrders[] = {1, 8, 9, 15, 16, 17, 33, 96, 100, 129};
 
 template <typename T>
 void check_gemm_paths(Op opA, Op opB, int m, int n, int k, T alpha, T beta) {
@@ -180,71 +190,78 @@ TYPED_TEST(BlasKernel, GemmBetaZeroClearsNaN) {
 TYPED_TEST(BlasKernel, HerkBlockedMatchesNaive) {
     using T = TypeParam;
     using R = real_t<T>;
-    int const n = 100, k = 37;  // n > kL3Block so the public entry blocks
+    int const k = 37;
     R const alpha = R(0.5), beta = R(-1.5);
-    for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
-        for (Op op : {Op::NoTrans, Op::ConjTrans}) {
-            auto A = (op == Op::NoTrans) ? ref::random_dense<T>(n, k, 21)
-                                         : ref::random_dense<T>(k, n, 21);
-            auto C = ref::random_dense<T>(n, n, 31);
-            auto Cref = C;
-            blas::herk_naive(uplo, op, alpha, as_tile(A), beta,
-                             as_tile(Cref));
-            blas::herk_blocked(uplo, op, alpha, as_tile(A), beta, as_tile(C));
-            EXPECT_LE(ref::diff_fro(C, Cref),
-                      path_tol<T>(k) * (1 + ref::norm_fro(Cref)))
-                << "uplo=" << static_cast<int>(uplo)
-                << " op=" << static_cast<int>(op);
-        }
+    for (int n : kTriangleOrders)
+        for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
+            for (Op op : {Op::NoTrans, Op::ConjTrans}) {
+                auto A = (op == Op::NoTrans) ? ref::random_dense<T>(n, k, 21)
+                                             : ref::random_dense<T>(k, n, 21);
+                auto C = ref::random_dense<T>(n, n, 31);
+                auto Cref = C;
+                blas::herk_naive(uplo, op, alpha, as_tile(A), beta,
+                                 as_tile(Cref));
+                blas::herk_recursive(uplo, op, alpha, as_tile(A), beta,
+                                     as_tile(C));
+                EXPECT_LE(ref::diff_fro(C, Cref),
+                          path_tol<T>(k) * (1 + ref::norm_fro(Cref)))
+                    << "n=" << n << " uplo=" << static_cast<int>(uplo)
+                    << " op=" << static_cast<int>(op);
+            }
 }
 
 TYPED_TEST(BlasKernel, TrsmBlockedMatchesNaive) {
     using T = TypeParam;
-    int const m = 96, n = 70;  // both > kL3Block in the triangular dimension
+    int const nrhs = 70;
     T const alpha = from_real<T>(real_t<T>(2.0));
-    for (Side side : {Side::Left, Side::Right})
-        for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
-            for (Op op : {Op::NoTrans, Op::ConjTrans})
-                for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
-                    int const na = (side == Side::Left) ? m : n;
-                    auto A = ref::random_dense<T>(na, na, 51);
-                    for (int i = 0; i < na; ++i)  // well-conditioned solve
-                        A(i, i) = A(i, i) + from_real<T>(real_t<T>(4));
-                    auto B = ref::random_dense<T>(m, n, 61);
-                    auto Bref = B;
-                    blas::trsm_naive(side, uplo, op, diag, alpha, as_tile(A),
-                                     as_tile(Bref));
-                    blas::trsm_blocked(side, uplo, op, diag, alpha,
-                                       as_tile(A), as_tile(B));
-                    EXPECT_LE(ref::diff_fro(B, Bref),
-                              path_tol<T>(na) * (1 + ref::norm_fro(Bref)))
-                        << "side=" << static_cast<int>(side)
-                        << " uplo=" << static_cast<int>(uplo)
-                        << " op=" << static_cast<int>(op)
-                        << " diag=" << static_cast<int>(diag);
-                }
+    for (int na : kTriangleOrders)
+        for (Side side : {Side::Left, Side::Right})
+            for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
+                for (Op op : {Op::NoTrans, Op::Trans, Op::ConjTrans})
+                    for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
+                        int const m = (side == Side::Left) ? na : nrhs;
+                        int const n = (side == Side::Left) ? nrhs : na;
+                        auto A = ref::random_dense<T>(na, na, 51);
+                        for (int i = 0; i < na; ++i)  // well-conditioned
+                            A(i, i) = A(i, i) + from_real<T>(real_t<T>(4));
+                        auto B = ref::random_dense<T>(m, n, 61);
+                        auto Bref = B;
+                        blas::trsm_naive(side, uplo, op, diag, alpha,
+                                         as_tile(A), as_tile(Bref));
+                        blas::trsm_recursive(side, uplo, op, diag, alpha,
+                                             as_tile(A), as_tile(B));
+                        EXPECT_LE(ref::diff_fro(B, Bref),
+                                  path_tol<T>(na)
+                                      * (1 + ref::norm_fro(Bref)))
+                            << "na=" << na
+                            << " side=" << static_cast<int>(side)
+                            << " uplo=" << static_cast<int>(uplo)
+                            << " op=" << static_cast<int>(op)
+                            << " diag=" << static_cast<int>(diag);
+                    }
 }
 
 TYPED_TEST(BlasKernel, TrmmBlockedMatchesNaive) {
     using T = TypeParam;
-    int const m = 96, n = 58;
+    int const n = 58;
     T const alpha = from_real<T>(real_t<T>(-0.75));
-    for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
-        for (Op op : {Op::NoTrans, Op::ConjTrans})
-            for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
-                auto A = ref::random_dense<T>(m, m, 71);
-                auto B = ref::random_dense<T>(m, n, 81);
-                auto Bref = B;
-                blas::trmm_naive(uplo, op, diag, alpha, as_tile(A),
-                                 as_tile(Bref));
-                blas::trmm_blocked(uplo, op, diag, alpha, as_tile(A),
-                                   as_tile(B));
-                EXPECT_LE(ref::diff_fro(B, Bref),
-                          path_tol<T>(m) * (1 + ref::norm_fro(Bref)))
-                    << "uplo=" << static_cast<int>(uplo)
-                    << " op=" << static_cast<int>(op)
-                    << " diag=" << static_cast<int>(diag);
-            }
+    for (int m : kTriangleOrders)
+        for (Uplo uplo : {Uplo::Lower, Uplo::Upper})
+            for (Op op : {Op::NoTrans, Op::Trans, Op::ConjTrans})
+                for (Diag diag : {Diag::NonUnit, Diag::Unit}) {
+                    auto A = ref::random_dense<T>(m, m, 71);
+                    auto B = ref::random_dense<T>(m, n, 81);
+                    auto Bref = B;
+                    blas::trmm_naive(uplo, op, diag, alpha, as_tile(A),
+                                     as_tile(Bref));
+                    blas::trmm_recursive(uplo, op, diag, alpha, as_tile(A),
+                                         as_tile(B));
+                    EXPECT_LE(ref::diff_fro(B, Bref),
+                              path_tol<T>(m) * (1 + ref::norm_fro(Bref)))
+                        << "m=" << m << " uplo=" << static_cast<int>(uplo)
+                        << " op=" << static_cast<int>(op)
+                        << " diag=" << static_cast<int>(diag);
+                }
 }
 
 TYPED_TEST(BlasKernel, UnmqrLevel3MatchesNaive) {
@@ -288,6 +305,174 @@ TYPED_TEST(BlasKernel, TsmqrLevel3MatchesNaive) {
                   path_tol<T>(m2) * (1 + ref::norm_fro(C2ref)))
             << "op=" << static_cast<int>(op);
     }
+}
+
+namespace {
+
+/// The strictly lower part of every factored column of T must be zero on
+/// every path: callers use the whole nb x nb tile as the triangular factor.
+template <typename T>
+void expect_t_lower_zero(ref::Dense<T> const& Tf, int k, char const* what) {
+    for (int j = 0; j < k; ++j)
+        for (int i = j + 1; i < static_cast<int>(Tf.m()); ++i)
+            EXPECT_EQ(Tf(i, j), T(0)) << what << " T(" << i << "," << j << ")";
+}
+
+}  // namespace
+
+TYPED_TEST(BlasKernel, GeqrtLevel3MatchesNaive) {
+    using T = TypeParam;
+    // mb < nb, mb > nb, square, k not a multiple of kQrInnerBlock, and an
+    // already upper-triangular tile (every real reflector is H = I, tau = 0).
+    for (auto [mb, nb, upper] :
+         {std::tuple{40, 70, false}, {96, 40, false}, {64, 64, false},
+          {100, 37, false}, {129, 129, false}, {48, 48, true}}) {
+        auto A = ref::random_dense<T>(mb, nb, 101);
+        if (upper)
+            for (int j = 0; j < nb; ++j)
+                for (int i = j + 1; i < mb; ++i)
+                    A(i, j) = T(0);
+        auto Aref = A;
+        // T is the full nb x nb tile, as alloc_qr_t hands it out; stale
+        // values in it must not survive below the diagonal.
+        ref::Dense<T> Tf(nb, nb);
+        for (int j = 0; j < nb; ++j)
+            for (int i = 0; i < nb; ++i)
+                Tf(i, j) = from_real<T>(real_t<T>(7));
+        auto Tref = Tf;
+        blas::geqrt_naive(as_tile(Aref), as_tile(Tref));
+        blas::geqrt_level3(as_tile(A), as_tile(Tf));
+
+        int const k = std::min(mb, nb);
+        // A holds R (upper trapezoid) and V (strict lower part) together.
+        EXPECT_LE(ref::diff_fro(A, Aref),
+                  path_tol<T>(mb) * (1 + ref::norm_fro(Aref)))
+            << "R, V mb=" << mb << " nb=" << nb;
+        EXPECT_LE(ref::diff_fro(Tf, Tref),
+                  path_tol<T>(mb) * (1 + ref::norm_fro(Tref)))
+            << "T mb=" << mb << " nb=" << nb;
+        expect_t_lower_zero(Tf, k, "level3");
+        expect_t_lower_zero(Tref, k, "naive");
+    }
+}
+
+TYPED_TEST(BlasKernel, TsqrtLevel3MatchesNaive) {
+    using T = TypeParam;
+    // m2 < ib, m2 < n, m2 > n, and n not a multiple of kQrInnerBlock.
+    for (auto [n, m2] : {std::pair{64, 7}, {40, 24}, {37, 100}, {128, 128},
+                         {129, 64}}) {
+        auto A1 = ref::random_dense<T>(n, n, 102);
+        auto A2 = ref::random_dense<T>(m2, n, 103);
+        auto A1ref = A1, A2ref = A2;
+        ref::Dense<T> Tf(n, n);
+        for (int j = 0; j < n; ++j)
+            for (int i = 0; i < n; ++i)
+                Tf(i, j) = from_real<T>(real_t<T>(7));
+        auto Tref = Tf;
+        blas::tsqrt_naive(as_tile(A1ref), as_tile(A2ref), as_tile(Tref));
+        blas::tsqrt_level3(as_tile(A1), as_tile(A2), as_tile(Tf));
+
+        // R lives in A1's upper triangle; its strict lower part is never
+        // touched, so comparing all of A1 is comparing R.
+        int const depth = n + m2;
+        EXPECT_LE(ref::diff_fro(A1, A1ref),
+                  path_tol<T>(depth) * (1 + ref::norm_fro(A1ref)))
+            << "R n=" << n << " m2=" << m2;
+        EXPECT_LE(ref::diff_fro(A2, A2ref),
+                  path_tol<T>(depth) * (1 + ref::norm_fro(A2ref)))
+            << "V n=" << n << " m2=" << m2;
+        EXPECT_LE(ref::diff_fro(Tf, Tref),
+                  path_tol<T>(depth) * (1 + ref::norm_fro(Tref)))
+            << "T n=" << n << " m2=" << m2;
+        expect_t_lower_zero(Tf, n, "level3");
+        expect_t_lower_zero(Tref, n, "naive");
+    }
+}
+
+TYPED_TEST(BlasKernel, PublicEntriesChargeFormulaOnce) {
+    // Each public call moves the counter by exactly its flops:: formula,
+    // on the fast path (whose internal gemm/trmm/applier calls must not
+    // charge again) and on the TBP_NAIVE_BLAS path.
+    using T = TypeParam;
+    using R = real_t<T>;
+    int const n = 100, nn = 72;
+    double const w = fma_flops<T>() / 2.0;
+    auto charged = [](double fl) {
+        return static_cast<double>(static_cast<std::uint64_t>(fl));
+    };
+    auto moved = [](auto&& call) {
+        double const f0 = blas::kernel::flops_performed();
+        call();
+        return blas::kernel::flops_performed() - f0;
+    };
+    bool const was_naive = blas::kernel::use_naive();
+    for (bool naive : {false, true}) {
+        blas::kernel::set_naive(naive);
+        auto A = ref::random_dense<T>(n, n, 111);
+        for (int i = 0; i < n; ++i)
+            A(i, i) = A(i, i) + from_real<T>(R(4));
+        auto B = ref::random_dense<T>(n, nn, 112);
+        auto C = ref::random_dense<T>(n, n, 113);
+
+        EXPECT_EQ(moved([&] {
+                      blas::trmm(Uplo::Upper, Op::NoTrans, Diag::NonUnit,
+                                 T(1), as_tile(A), as_tile(B));
+                  }),
+                  charged(flops::trmm(n, nn) * w))
+            << "trmm naive=" << naive;
+        EXPECT_EQ(moved([&] {
+                      blas::trsm(Side::Left, Uplo::Lower, Op::NoTrans,
+                                 Diag::NonUnit, T(1), as_tile(A),
+                                 as_tile(B));
+                  }),
+                  charged(flops::trsm_left(n, nn) * w))
+            << "trsm left naive=" << naive;
+        auto Br = ref::random_dense<T>(nn, n, 114);
+        EXPECT_EQ(moved([&] {
+                      blas::trsm(Side::Right, Uplo::Lower, Op::ConjTrans,
+                                 Diag::NonUnit, T(1), as_tile(A),
+                                 as_tile(Br));
+                  }),
+                  charged(flops::trsm_right(nn, n) * w))
+            << "trsm right naive=" << naive;
+        EXPECT_EQ(moved([&] {
+                      blas::herk(Uplo::Lower, Op::NoTrans, R(1),
+                                 as_tile(B), R(0), as_tile(C));
+                  }),
+                  charged(flops::syrk(n, nn) * w))
+            << "herk naive=" << naive;
+
+        auto V = ref::random_dense<T>(n, n, 115);
+        ref::Dense<T> Tf(n, n);
+        EXPECT_EQ(moved([&] { blas::geqrt(as_tile(V), as_tile(Tf)); }),
+                  charged(flops::geqrf(n, n) * w))
+            << "geqrt naive=" << naive;
+        auto Cq = ref::random_dense<T>(n, nn, 116);
+        EXPECT_EQ(moved([&] {
+                      blas::unmqr(Op::ConjTrans, as_tile(V), as_tile(Tf),
+                                  as_tile(Cq));
+                  }),
+                  charged(flops::unmqr(n, nn, n) * w))
+            << "unmqr naive=" << naive;
+
+        auto R1 = ref::random_dense<T>(n, n, 117);
+        auto A2 = ref::random_dense<T>(n, n, 118);
+        ref::Dense<T> Ts(n, n);
+        EXPECT_EQ(moved([&] {
+                      blas::tsqrt(as_tile(R1), as_tile(A2), as_tile(Ts));
+                  }),
+                  charged(flops::tsqrt(n, n) * w))
+            << "tsqrt naive=" << naive;
+        auto C1 = ref::random_dense<T>(n, nn, 119);
+        auto C2 = ref::random_dense<T>(n, nn, 120);
+        EXPECT_EQ(moved([&] {
+                      blas::tsmqr(Op::ConjTrans, as_tile(A2), as_tile(Ts),
+                                  as_tile(C1), as_tile(C2));
+                  }),
+                  charged(flops::tsmqr(n, n, nn) * w))
+            << "tsmqr naive=" << naive;
+    }
+    blas::kernel::set_naive(was_naive);
 }
 
 TYPED_TEST(BlasKernel, PublicGemmRoutesAndCounts) {
