@@ -3,8 +3,12 @@
 // Classic five-loop Goto/BLIS structure: NC column panels of op(B), KC deep
 // k-panels (packed once per (jc, pc)), MC row panels of op(A) (packed once
 // per (pc, ic)), then the NR x MR register-block sweep calling the
-// micro-kernel. Pack buffers come from the calling thread's arena, so a task
-// worker allocates at most once per buffer growth, not per tile.
+// micro-kernel. The driver and the packers are instantiated on a
+// kernel-shape type (microkernel.hh); kernel::gemm picks the AVX-512 shape
+// for float/double when the CPU has AVX-512F and the portable one
+// otherwise, once per call. Pack buffers come from the calling thread's
+// arena, so a task worker allocates at most once per buffer growth, not per
+// tile.
 //
 // Semantics are identical to blas::gemm_naive (see blas/gemm.hh), including
 // the BLAS beta convention: beta == 0 stores zeros without reading C, so
@@ -41,13 +45,20 @@ namespace tbp::blas::kernel {
 
 /// BLAS-convention beta scaling: beta == 1 leaves C untouched, beta == 0
 /// stores T(0) unconditionally (clearing NaN/Inf), anything else scales.
+/// Column pointers keep both loops vectorizable: at nb = 128 the indexed
+/// per-element form cost a third of a tile gemm on the AVX-512 kernels.
 template <typename T>
 inline void scale_beta(T beta, Tile<T> const& C) {
     if (beta == T(1))
         return;
-    for (int j = 0; j < C.nb(); ++j)
-        for (int i = 0; i < C.mb(); ++i)
-            C(i, j) = (beta == T(0)) ? T(0) : beta * C(i, j);
+    for (int j = 0; j < C.nb(); ++j) {
+        T* c = C.data() + static_cast<std::ptrdiff_t>(j) * C.ld();
+        if (beta == T(0))
+            std::fill_n(c, C.mb(), T(0));
+        else
+            for (int i = 0; i < C.mb(); ++i)
+                c[i] = beta * c[i];
+    }
 }
 
 namespace detail {
@@ -62,53 +73,69 @@ inline auto plane(T const* p) {
         return p;
 }
 
-/// One full five-loop accumulation pass with per-operand pack transforms.
-/// beta has already been applied by the caller; this pass only accumulates.
-template <typename T>
+/// One full five-loop accumulation pass of kernel-shape type K (Portable<T>
+/// or Avx512<T>, microkernel.hh) with per-operand pack transforms. beta
+/// has already been applied by the caller; this pass only accumulates.
+template <typename K, typename T>
 void gemm_pass(Op opA, Op opB, T alpha, Tile<T> const& A, Tile<T> const& B,
                Tile<T> const& C, int k, prec::PackTrans ta,
                prec::PackTrans tb) {
-    using P = Params<T>;
     int const m = C.mb();
     int const n = C.nb();
 
     auto& arena = tls_arena<T>();
-    for (int jc = 0; jc < n; jc += P::NC) {
-        int const nc = std::min(P::NC, n - jc);
-        int const nstrips = (nc + P::NR - 1) / P::NR;
-        for (int pc = 0; pc < k; pc += P::KC) {
-            int const kc = std::min(P::KC, k - pc);
+    for (int jc = 0; jc < n; jc += K::NC) {
+        int const nc = std::min(K::NC, n - jc);
+        int const nstrips = (nc + K::NR - 1) / K::NR;
+        for (int pc = 0; pc < k; pc += K::KC) {
+            int const kc = std::min(K::KC, k - pc);
             T* bbuf = arena.get(kPackB,
-                                static_cast<std::size_t>(nstrips) * P::NR * kc);
-            pack_b(opB, B, pc, jc, kc, nc, bbuf, tb);
-            for (int ic = 0; ic < m; ic += P::MC) {
-                int const mc = std::min(P::MC, m - ic);
-                int const mstrips = (mc + P::MR - 1) / P::MR;
+                                static_cast<std::size_t>(nstrips) * K::NR * kc);
+            pack_b<K>(opB, B, pc, jc, kc, nc, bbuf, tb);
+            for (int ic = 0; ic < m; ic += K::MC) {
+                int const mc = std::min(K::MC, m - ic);
+                int const mstrips = (mc + K::MR - 1) / K::MR;
                 T* abuf = arena.get(
-                    kPackA, static_cast<std::size_t>(mstrips) * P::MR * kc);
-                pack_a(opA, A, ic, pc, mc, kc, abuf, ta);
-                for (int jr = 0; jr < nc; jr += P::NR) {
-                    int const nr = std::min(P::NR, nc - jr);
+                    kPackA, static_cast<std::size_t>(mstrips) * K::MR * kc);
+                pack_a<K>(opA, A, ic, pc, mc, kc, abuf, ta);
+                for (int jr = 0; jr < nc; jr += K::NR) {
+                    int const nr = std::min(K::NR, nc - jr);
                     T const* bp = bbuf
-                                  + static_cast<std::size_t>(jr / P::NR) * kc
-                                        * P::NR;
-                    for (int ir = 0; ir < mc; ir += P::MR) {
-                        int const mr = std::min(P::MR, mc - ir);
+                                  + static_cast<std::size_t>(jr / K::NR) * kc
+                                        * K::NR;
+                    for (int ir = 0; ir < mc; ir += K::MR) {
+                        int const mr = std::min(K::MR, mc - ir);
                         T const* ap = abuf
-                                      + static_cast<std::size_t>(ir / P::MR)
-                                            * kc * P::MR;
-                        T* cp = &C(ic + ir, jc + jr);
-                        if (mr == P::MR && nr == P::NR)
-                            ukernel(kc, alpha, detail::plane(ap),
-                                    detail::plane(bp), cp, C.ld());
-                        else
-                            ukernel_fringe(kc, alpha, detail::plane(ap),
-                                           detail::plane(bp), cp, C.ld(), mr,
-                                           nr);
+                                      + static_cast<std::size_t>(ir / K::MR)
+                                            * kc * K::MR;
+                        K::run(kc, alpha, plane(ap), plane(bp),
+                               &C(ic + ir, jc + jr), C.ld(), mr, nr);
                     }
                 }
             }
         }
+    }
+}
+
+/// The gemm passes of one call on kernel-shape type K: one pass natively,
+/// or the truncated passes of the simulated-bf16 modes (header comment).
+template <typename K, typename T>
+void gemm_passes(prec::GemmMode mode, Op opA, Op opB, T alpha,
+                 Tile<T> const& A, Tile<T> const& B, Tile<T> const& C,
+                 int k) {
+    using PT = prec::PackTrans;
+    switch (mode) {
+        case prec::GemmMode::Native:
+            gemm_pass<K>(opA, opB, alpha, A, B, C, k, PT::None, PT::None);
+            break;
+        case prec::GemmMode::Bf16:
+            gemm_pass<K>(opA, opB, alpha, A, B, C, k, PT::Bf16Hi, PT::Bf16Hi);
+            break;
+        case prec::GemmMode::Bf16Comp:
+            gemm_pass<K>(opA, opB, alpha, A, B, C, k, PT::Bf16Hi, PT::Bf16Hi);
+            gemm_pass<K>(opA, opB, alpha, A, B, C, k, PT::Bf16Hi, PT::Bf16Lo);
+            gemm_pass<K>(opA, opB, alpha, A, B, C, k, PT::Bf16Lo, PT::Bf16Hi);
+            break;
     }
 }
 
@@ -135,24 +162,13 @@ void gemm(Op opA, Op opB, T alpha, Tile<T> const& A, Tile<T> const& B,
     if constexpr (std::is_same_v<real_t<T>, float>)
         mode = prec::exec_gemm_mode();
 
-    using PT = prec::PackTrans;
-    switch (mode) {
-        case prec::GemmMode::Native:
-            detail::gemm_pass(opA, opB, alpha, A, B, C, k, PT::None, PT::None);
-            break;
-        case prec::GemmMode::Bf16:
-            detail::gemm_pass(opA, opB, alpha, A, B, C, k, PT::Bf16Hi,
-                              PT::Bf16Hi);
-            break;
-        case prec::GemmMode::Bf16Comp:
-            detail::gemm_pass(opA, opB, alpha, A, B, C, k, PT::Bf16Hi,
-                              PT::Bf16Hi);
-            detail::gemm_pass(opA, opB, alpha, A, B, C, k, PT::Bf16Hi,
-                              PT::Bf16Lo);
-            detail::gemm_pass(opA, opB, alpha, A, B, C, k, PT::Bf16Lo,
-                              PT::Bf16Hi);
-            break;
+    if constexpr (!is_complex_v<T>) {
+        if (avx512_selected()) {
+            detail::gemm_passes<Avx512<T>>(mode, opA, opB, alpha, A, B, C, k);
+            return;
+        }
     }
+    detail::gemm_passes<Portable<T>>(mode, opA, opB, alpha, A, B, C, k);
 }
 
 }  // namespace tbp::blas::kernel

@@ -150,11 +150,30 @@ void Engine::submit(char const* name, double flops,
     outstanding_.fetch_add(1, std::memory_order_relaxed);
 
     Task* raw = t.get();
-    all_tasks_.push_back(std::move(t));
+    if (accesses.empty()) {
+        reclaim_detached();
+        detached_.push_back(std::move(t));
+    } else {
+        all_tasks_.push_back(std::move(t));
+    }
+    retained_.store(all_tasks_.size() + detached_.size(),
+                    std::memory_order_relaxed);
 
     // Drop the submission guard; enqueue if all inputs resolved.
     if (raw->unresolved.fetch_sub(1, std::memory_order_acq_rel) == 1)
         make_ready(raw, -1);
+}
+
+void Engine::reclaim_detached() {
+    if (detached_.size() < reclaim_at_)
+        return;
+    // done is set under the task's mutex after the worker's last access
+    // to the task (run_task), so a task seen done here is safe to destroy.
+    std::erase_if(detached_, [](std::unique_ptr<Task> const& t) {
+        std::lock_guard<std::mutex> lk(t->mtx);
+        return t->done;
+    });
+    reclaim_at_ = std::max(kMinReclaim, 2 * detached_.size());
 }
 
 void Engine::make_ready(Task* t, int src_worker) {
@@ -345,10 +364,12 @@ void Engine::run_task(Task* t, int worker_id, bool stolen) {
             poison_job(t->job, std::current_exception());
         }
     }
-    // Release the body eagerly: the Task skeleton must survive until the
-    // epoch reset in wait() for dependency bookkeeping, but the closure's
-    // captures (job state, workspaces) should not. A service that never
-    // calls wait() would otherwise pin every job's arena until shutdown.
+    // Release the body eagerly: the Task skeleton of a task with accesses
+    // must survive until the epoch reset in wait() for dependency
+    // bookkeeping, but the closure's captures (job state, workspaces)
+    // should not. A service that never calls wait() would otherwise pin
+    // every job's arena until shutdown. (Access-free skeletons are
+    // reclaimed by later submits, see reclaim_detached().)
     t->fn = nullptr;
     double const t1 = wall_time();
 
@@ -364,6 +385,8 @@ void Engine::run_task(Task* t, int worker_id, bool stolen) {
                           t->dep_ids, t->priority, stolen, t->ops});
     }
 
+    // Last access to *t: once done is published, the submitter may
+    // destroy an access-free task (reclaim_detached()).
     std::vector<Task*> succ;
     {
         std::lock_guard<std::mutex> lk(t->mtx);
@@ -396,6 +419,9 @@ void Engine::wait() {
     // Fresh dependency epoch; tasks are retired.
     objects_.clear();
     all_tasks_.clear();
+    detached_.clear();
+    reclaim_at_ = kMinReclaim;
+    retained_.store(0, std::memory_order_relaxed);
     // Only the ambient job's error surfaces here; explicit jobs keep their
     // latch until take_job_error() so a poisoned batch job cannot abort an
     // unrelated caller's wait().

@@ -184,6 +184,14 @@ public:
 
     // --- statistics -------------------------------------------------------
     std::uint64_t tasks_executed() const { return tasks_executed_.load(); }
+    /// Task records the engine holds right now (pending, running, or
+    /// finished but not yet reclaimed). Finished tasks with accesses are
+    /// reclaimed by wait(); finished access-free tasks also on later
+    /// submits, so a submitter that never waits (the service dispatcher)
+    /// holds a number bounded by the tasks in flight. Thread-safe.
+    std::size_t retained_tasks() const {
+        return retained_.load(std::memory_order_relaxed);
+    }
     /// Tile operations executed (sum of per-task `ops`). Equals
     /// tasks_executed() when nothing is batched; larger under the batched
     /// device executor, where one task can carry many tile ops.
@@ -205,6 +213,9 @@ private:
     struct WorkerQueue;
 
     void worker_loop(int worker_id);
+    /// Destroy the finished access-free tasks once their list has doubled
+    /// since the last sweep (amortized O(1) per submit). Submitter only.
+    void reclaim_detached();
     void run_task(Task* t, int worker_id, bool stolen);
     /// src_worker >= 0: released by that worker (push to its own deque);
     /// src_worker < 0: submitted by the driver (round-robin).
@@ -240,6 +251,12 @@ private:
     // Dependency bookkeeping; touched only by the submitter thread.
     std::unordered_map<void const*, ObjectState> objects_;
     std::vector<std::unique_ptr<Task>> all_tasks_;
+    // Access-free tasks: no ObjectState names them, so no later task can
+    // depend on them and each may be destroyed as soon as it has run.
+    std::vector<std::unique_ptr<Task>> detached_;
+    std::size_t reclaim_at_ = kMinReclaim;
+    static constexpr std::size_t kMinReclaim = 64;
+    std::atomic<std::size_t> retained_{0};
     std::uint64_t next_id_ = 0;
 
     std::atomic<std::uint64_t> tasks_executed_{0};

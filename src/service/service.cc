@@ -117,9 +117,11 @@ void PolarService::dispatcher_loop() {
             (!opts_.fifo && st->spec.cls == JobClass::Latency)
                 ? opts_.latency_priority
                 : 0;
-        // Each job writes only its own state: no inter-job dependencies,
-        // so the engine is free to run any mix of jobs concurrently.
-        eng_.submit("svc_job", {rt::write(st.get())},
+        // Each job touches only its own state: no inter-job dependencies,
+        // so the task declares no accesses, the engine is free to run any
+        // mix of jobs concurrently, and it reclaims each finished job's
+        // task on a later submit (the dispatcher never calls wait()).
+        eng_.submit("svc_job", std::vector<rt::Access>{},
                     [this, st] { run_job(st); }, prio, st->ejob);
     }
 }

@@ -5,19 +5,25 @@
 // inputs: gemm across all op combinations, odd/fringe sizes (deliberately
 // not multiples of any MR/NR/MC/KC), strided sub-views with ld > mb, and the
 // alpha/beta corner cases including the beta == 0 store-zeros convention.
-// herk/trsm/trmm run recursive-vs-naive over triangle orders that hit the
-// naive base case, its edge, and uneven splits; the level-3 Householder
+// Each compiled micro-kernel variant (AVX-512 where the CPU has it, and the
+// portable one) is driven directly through detail::gemm_pass over every
+// fringe shape, on a C tile that ends at a guard page.
+// herk/trsm/trmm/potrf run recursive-vs-naive over triangle orders that
+// hit the naive base case, its edge, and uneven splits; the level-3 Householder
 // appliers and the inner-blocked geqrt/tsqrt panels run against their
 // element-loop references; and every public level-3 and Householder entry
 // must charge its flops:: formula exactly once, on either path.
 
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <tuple>
 
+#include "blas/factor.hh"
 #include "blas/gemm.hh"
 #include "blas/householder.hh"
 #include "blas/level3.hh"
@@ -187,6 +193,189 @@ TYPED_TEST(BlasKernel, GemmBetaZeroClearsNaN) {
             ASSERT_TRUE(std::isfinite(std::abs(C(i, j))));
 }
 
+// --- Micro-kernel variant conformance ---------------------------------------
+
+namespace {
+
+/// Buffer of `count` scalars that ends at a PROT_NONE guard page, so any
+/// access past its last element faults, masked vector code included (asan
+/// does not instrument the intrinsics; the guard page does not care).
+template <typename T>
+class GuardedBuffer {
+public:
+    explicit GuardedBuffer(std::size_t count) {
+        std::size_t const page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+        std::size_t const bytes = count * sizeof(T);
+        data_pages_ = (bytes + page - 1) / page * page;
+        len_ = data_pages_ + page;
+        void* p = mmap(nullptr, len_, PROT_READ | PROT_WRITE,
+                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        EXPECT_NE(p, MAP_FAILED);
+        base_ = static_cast<char*>(p);
+        EXPECT_EQ(mprotect(base_ + data_pages_, page, PROT_NONE), 0);
+        end_ = reinterpret_cast<T*>(base_ + data_pages_);
+    }
+    ~GuardedBuffer() { munmap(base_, len_); }
+    GuardedBuffer(GuardedBuffer const&) = delete;
+    GuardedBuffer& operator=(GuardedBuffer const&) = delete;
+
+    /// One past the last usable scalar (the first byte of the guard page).
+    T* end() const { return end_; }
+
+private:
+    char* base_ = nullptr;
+    std::size_t len_ = 0, data_pages_ = 0;
+    T* end_ = nullptr;
+};
+
+/// Drive one kernel-shape type K through detail::gemm_pass on every fringe
+/// m <= MR, n <= NR, depth kc in {1, 7, KC, KC + 1}, alpha in {1, -1,
+/// 0.75}, with ldc > m, against gemm_naive (beta = 1, the pass only
+/// accumulates). C's last element is the last scalar before a guard page,
+/// and the ldc - m gap rows must come back untouched.
+template <typename K, typename T>
+void check_variant(char const* name) {
+    constexpr int MR = K::MR, NR = K::NR;
+    int const ldc = MR + 3;
+    int const kmax = K::KC + 1;
+    auto Abig = ref::random_dense<T>(MR, kmax, 201);
+    auto AbigT = ref::random_dense<T>(kmax, MR, 202);
+    auto Bbig = ref::random_dense<T>(kmax, NR, 203);
+    auto BbigT = ref::random_dense<T>(NR, kmax, 204);
+    auto Cinit = ref::random_dense<T>(ldc, NR, 205);
+    GuardedBuffer<T> buf(static_cast<std::size_t>(ldc) * NR);
+    T const sentinel(-7);
+    int fails = 0;
+
+    for (int kc : {1, 7, K::KC, kmax})
+        for (int m = 1; m <= MR; ++m)
+            for (int n = 1; n <= NR; ++n)
+                for (T alpha : {T(1), T(-1), T(0.75)}) {
+                    // Alternate the operand transposes across shapes so both
+                    // pack layouts run on every variant.
+                    Op const opA = ((m + kc) % 2) ? Op::Trans : Op::NoTrans;
+                    Op const opB = ((n + kc) % 2) ? Op::Trans : Op::NoTrans;
+                    auto A = (opA == Op::NoTrans)
+                                 ? as_tile(Abig).sub(0, 0, m, kc)
+                                 : as_tile(AbigT).sub(0, 0, kc, m);
+                    auto B = (opB == Op::NoTrans)
+                                 ? as_tile(Bbig).sub(0, 0, kc, n)
+                                 : as_tile(BbigT).sub(0, 0, n, kc);
+                    std::size_t const span =
+                        static_cast<std::size_t>(ldc) * (n - 1) + m;
+                    T* c = buf.end() - span;
+                    for (std::size_t q = 0; q < span; ++q)
+                        c[q] = (static_cast<int>(q % ldc) < m)
+                                   ? Cinit(static_cast<int>(q % ldc),
+                                           static_cast<int>(q / ldc))
+                                   : sentinel;
+                    Tile<T> C(c, m, n, ldc);
+                    ref::Dense<T> Cref(m, n);
+                    for (int j = 0; j < n; ++j)
+                        for (int i = 0; i < m; ++i)
+                            Cref(i, j) = Cinit(i, j);
+
+                    blas::gemm_naive(opA, opB, alpha, A, B, T(1),
+                                     as_tile(Cref));
+                    blas::kernel::detail::gemm_pass<K>(
+                        opA, opB, alpha, A, B, C, kc, prec::PackTrans::None,
+                        prec::PackTrans::None);
+
+                    real_t<T> err = 0;
+                    for (int j = 0; j < n; ++j)
+                        for (int i = 0; i < m; ++i)
+                            err = std::max(err, std::abs(C(i, j) - Cref(i, j))
+                                                    / (1 + std::abs(Cref(i, j))));
+                    bool gap_ok = true;
+                    for (std::size_t q = 0; q < span; ++q)
+                        if (static_cast<int>(q % ldc) >= m)
+                            gap_ok = gap_ok && c[q] == sentinel;
+                    if (err > path_tol<T>(kc) || !gap_ok) {
+                        ADD_FAILURE() << name << " m=" << m << " n=" << n
+                                      << " kc=" << kc << " alpha=" << alpha
+                                      << " err=" << err
+                                      << " gap_ok=" << gap_ok;
+                        if (++fails > 10)
+                            return;
+                    }
+                }
+}
+
+/// Same product with the simulated-bf16 pack transforms on a float
+/// variant: Bf16 truncates both operands, Bf16Comp sums hi*hi, hi*lo and
+/// lo*hi. The oracle applies the truncation to copies of the operands and
+/// runs gemm_naive on them.
+template <typename K>
+void check_variant_bf16(char const* name) {
+    int const m = 2 * K::MR - 3, n = 2 * K::NR + 1, k = K::KC + 5;
+    auto A = ref::random_dense<float>(m, k, 211);
+    auto B = ref::random_dense<float>(k, n, 212);
+    auto C0 = ref::random_dense<float>(m, n, 213);
+    auto split = [](ref::Dense<float> const& X, prec::PackTrans tr) {
+        auto Y = X;
+        for (std::int64_t j = 0; j < X.n(); ++j)
+            for (std::int64_t i = 0; i < X.m(); ++i)
+                Y(i, j) = prec::apply_pack_trans(tr, X(i, j));
+        return Y;
+    };
+    auto Ahi = split(A, prec::PackTrans::Bf16Hi);
+    auto Alo = split(A, prec::PackTrans::Bf16Lo);
+    auto Bhi = split(B, prec::PackTrans::Bf16Hi);
+    auto Blo = split(B, prec::PackTrans::Bf16Lo);
+    float const alpha = 0.75f;
+
+    for (auto mode : {prec::GemmMode::Bf16, prec::GemmMode::Bf16Comp}) {
+        auto C = C0, Cref = C0;
+        blas::gemm_naive(Op::NoTrans, Op::NoTrans, alpha, as_tile(Ahi),
+                         as_tile(Bhi), 1.0f, as_tile(Cref));
+        if (mode == prec::GemmMode::Bf16Comp) {
+            blas::gemm_naive(Op::NoTrans, Op::NoTrans, alpha, as_tile(Ahi),
+                             as_tile(Blo), 1.0f, as_tile(Cref));
+            blas::gemm_naive(Op::NoTrans, Op::NoTrans, alpha, as_tile(Alo),
+                             as_tile(Bhi), 1.0f, as_tile(Cref));
+        }
+        blas::kernel::detail::gemm_passes<K>(mode, Op::NoTrans, Op::NoTrans,
+                                             alpha, as_tile(A), as_tile(B),
+                                             as_tile(C), k);
+        EXPECT_LE(ref::diff_fro(C, Cref),
+                  path_tol<float>(k) * (1 + ref::norm_fro(Cref)))
+            << name << " mode=" << prec::gemm_mode_name(mode);
+    }
+}
+
+}  // namespace
+
+TEST(KernelVariant, PortableDouble) {
+    check_variant<blas::kernel::Portable<double>, double>("portable d");
+}
+
+TEST(KernelVariant, PortableFloat) {
+    check_variant<blas::kernel::Portable<float>, float>("portable s");
+    check_variant_bf16<blas::kernel::Portable<float>>("portable s");
+}
+
+TEST(KernelVariant, Avx512Double) {
+    if (!blas::kernel::avx512_selected())
+        GTEST_SKIP() << "CPU without AVX-512F";
+    check_variant<blas::kernel::Avx512<double>, double>("avx512 d");
+}
+
+TEST(KernelVariant, Avx512Float) {
+    if (!blas::kernel::avx512_selected())
+        GTEST_SKIP() << "CPU without AVX-512F";
+    check_variant<blas::kernel::Avx512<float>, float>("avx512 s");
+    check_variant_bf16<blas::kernel::Avx512<float>>("avx512 s");
+}
+
+TEST(KernelVariant, NameReportsSelection) {
+    std::string const name = blas::kernel::variant_name();
+    EXPECT_EQ(name.rfind(blas::kernel::avx512_selected() ? "avx512 d"
+                                                         : "portable d",
+                         0),
+              0u)
+        << name;
+}
+
 TYPED_TEST(BlasKernel, HerkBlockedMatchesNaive) {
     using T = TypeParam;
     using R = real_t<T>;
@@ -262,6 +451,53 @@ TYPED_TEST(BlasKernel, TrmmBlockedMatchesNaive) {
                         << " op=" << static_cast<int>(op)
                         << " diag=" << static_cast<int>(diag);
                 }
+}
+
+namespace {
+
+/// Hermitian positive definite test matrix: B B^H + n I.
+template <typename T>
+ref::Dense<T> make_hpd(int n, std::uint64_t seed) {
+    auto B = ref::random_dense<T>(n, n, seed);
+    auto A = ref::gemm(Op::NoTrans, Op::ConjTrans, T(1), B, B);
+    for (int i = 0; i < n; ++i)
+        A(i, i) += from_real<T>(static_cast<real_t<T>>(n));
+    return A;
+}
+
+}  // namespace
+
+TYPED_TEST(BlasKernel, PotrfRecursiveMatchesNaive) {
+    using T = TypeParam;
+    for (int n : {1, 8, 9, 17, 100, 128, 129})
+        for (Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+            auto A = make_hpd<T>(n, 131);
+            auto Aref = A;
+            blas::potrf_naive(uplo, as_tile(Aref));
+            blas::potrf_recursive(uplo, as_tile(A));
+            // The other triangle is never touched, so all of A compares.
+            EXPECT_LE(ref::diff_fro(A, Aref),
+                      path_tol<T>(n) * (1 + ref::norm_fro(Aref)))
+                << "n=" << n << " uplo=" << static_cast<int>(uplo);
+        }
+}
+
+TYPED_TEST(BlasKernel, PotrfRecursiveThrowsOnNonHpd) {
+    // A negative pivot in the last leaf: the recursion must get there
+    // through trsm/herk updates and still throw tbp::Error, on which the
+    // precision ladder's rung promotion depends.
+    using T = TypeParam;
+    int const n = 100;
+    for (Uplo uplo : {Uplo::Lower, Uplo::Upper}) {
+        auto A = make_hpd<T>(n, 132);
+        A(n - 3, n - 3) = from_real<T>(real_t<T>(-1));
+        EXPECT_THROW(blas::potrf_recursive(uplo, as_tile(A)), Error)
+            << "uplo=" << static_cast<int>(uplo);
+        auto A1 = make_hpd<T>(n, 133);
+        A1(0, 0) = from_real<T>(real_t<T>(0));
+        EXPECT_THROW(blas::potrf(uplo, as_tile(A1)), Error)
+            << "uplo=" << static_cast<int>(uplo);
+    }
 }
 
 TYPED_TEST(BlasKernel, UnmqrLevel3MatchesNaive) {
@@ -441,6 +677,10 @@ TYPED_TEST(BlasKernel, PublicEntriesChargeFormulaOnce) {
                   }),
                   charged(flops::syrk(n, nn) * w))
             << "herk naive=" << naive;
+        auto H = make_hpd<T>(n, 121);
+        EXPECT_EQ(moved([&] { blas::potrf(Uplo::Lower, as_tile(H)); }),
+                  charged(flops::potrf(n) * w))
+            << "potrf naive=" << naive;
 
         auto V = ref::random_dense<T>(n, n, 115);
         ref::Dense<T> Tf(n, n);

@@ -1,12 +1,14 @@
 // Service-layer tests: batched jobs through PolarService checked bit-for-
 // bit against single-job oracle runs, failure containment (one bad job
 // never aborts a batch), QoS classes, spec validation, single-tile jobs,
-// and workspace-pool reuse. Runs under the "service" ctest label (and the
-// tsan-service preset).
+// workspace-pool reuse, and bounded engine task retention over many jobs.
+// Runs under the "service" ctest label (and the tsan-service preset).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <deque>
 #include <vector>
 
 #include "service/service.hh"
@@ -290,4 +292,31 @@ TEST(Service, CustomProviderRegistryAndUnregisteredKind) {
     // unaffected after the service claimed the latch in wait_all().
     eng.submit("probe", {}, [] {});
     EXPECT_NO_THROW(eng.wait());
+}
+
+TEST(Service, EngineRetainsBoundedTasksOverManyJobs) {
+    // The dispatcher never calls Engine::wait(), so the engine must reclaim
+    // finished jobs' task records as it goes: with at most kWindow jobs in
+    // flight it holds O(kWindow) records at any time, not one per job ever
+    // admitted.
+    constexpr int kJobs = 5000;
+    constexpr std::size_t kWindow = 32;
+    rt::Engine eng(2);
+    svc::PolarService service(eng);
+    auto const spec = make_spec(JobKind::Geqrf, 'd', 8, 8, 4, 61);
+    std::deque<svc::JobHandle> window;
+    std::size_t peak = 0;
+    for (int i = 0; i < kJobs; ++i) {
+        window.push_back(service.submit(spec));
+        if (window.size() == kWindow) {
+            EXPECT_TRUE(window.front().result().ok());
+            window.pop_front();
+        }
+        peak = std::max(peak, eng.retained_tasks());
+    }
+    service.wait_all();
+    EXPECT_EQ(service.stats().completed, static_cast<std::uint64_t>(kJobs));
+    EXPECT_EQ(service.stats().failed, 0u);
+    EXPECT_LE(peak, 4 * kWindow + 64);
+    EXPECT_LE(eng.retained_tasks(), 4 * kWindow + 64);
 }

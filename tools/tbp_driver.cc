@@ -30,6 +30,7 @@
 #include <thread>
 #include <vector>
 
+#include "blas/kernel/microkernel.hh"
 #include "blas/kernel/stats.hh"
 #include "comm/dist_qdwh.hh"
 #include "common/timer.hh"
@@ -800,6 +801,9 @@ int dispatch(Args const& a) {
 
 int main(int argc, char** argv) {
     auto const a = parse(argc, argv);
+    // Which micro-kernel family ran: timings from different variants are
+    // not comparable.
+    std::printf("kernel: %s\n", blas::kernel::variant_name());
     try {
         if (a.algo == "serve")
             return run_serve(a);
